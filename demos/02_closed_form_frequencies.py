@@ -11,19 +11,24 @@ split their parent's frequency exactly (flow conservation).
 from fractions import Fraction
 
 from rollmix import Schema, down_report, frequency_children, limiting_frequency
+from rollmix.digraph import action_node, class_node
 from rollmix.fixtures import population_a, population_b
 
 
 def show_report(name, p):
-    r = down_report(p)
-    print(f"succession report for {name} (b={r.b}):")
-    for (a, j), n in sorted(r.action_order.items()):
-        print(f"  {a} -> class {j}: {n}")
-    for (i, j), n in sorted(r.order.items()):
-        print(f"  class {i} -> class {j}: {n}")
-    for i in sorted(r.occurrences):
+    g = down_report(p)
+    print(f"succession report for {name} (b={g.b}):")
+    for a in sorted(g.actions):
+        for j in g.successors(action_node(a))[0]:
+            print(f"  {a} -> class {j}: {g.edge_weight(action_node(a), class_node(j))}")
+    for i in sorted(g.classes):
+        for j in g.successors(class_node(i))[0]:
+            print(f"  class {i} -> class {j}: {g.edge_weight(class_node(i), class_node(j))}")
+    for i in sorted(g.classes):
+        node = class_node(i)
         print(
-            f"  class {i}: occurrences {r.occ(i)}, terminal followers {r.terminal_count(i)}"
+            f"  class {i}: occurrences {g.out_weight(node)},"
+            f" terminal followers {len(g.successors(node)[1])}"
         )
 
 

@@ -43,7 +43,7 @@ def main():
         ev = report.per_action[action]
         se = ev.stddev / ev.n**0.5
         print(
-            f"  {action}: Q = {report.qtable.q(action):.5f}"
+            f"  {action}: Q = {float(ev.mean):.5f}"
             f" +- {se:.5f} (n={ev.n}, capped={ev.cap_exceeded})"
         )
 

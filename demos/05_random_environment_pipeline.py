@@ -13,7 +13,7 @@ from fractions import Fraction
 from rollmix import build_digraph, evaluate_actions, exact_expected_payoff
 from rollmix.envsim import SimConfig, generate_population, make_random_pomdp
 from rollmix.recombine import TransformDistribution, enumerate_orbit, orbit_frequency, run_chain
-from rollmix.stats import down_report, frequency_children, limiting_frequency
+from rollmix.stats import frequency_children, limiting_frequency
 from rollmix.model import ROOT, is_homologous
 
 CFG = SimConfig(
@@ -61,7 +61,7 @@ def main():
     for action in sorted(report.per_action):
         exact = exact_expected_payoff(g, action, sample.payoffs)
         print(
-            f"  {action}: walkers {report.qtable.q(action):.5f}"
+            f"  {action}: walkers {float(report.per_action[action].mean):.5f}"
             f"  exact {exact} = {float(exact):.5f}"
         )
 

@@ -5,12 +5,14 @@ check the others:
 
 * populations of rollouts with crossover transformations acting on them
   (:mod:`rollmix.model`, :mod:`rollmix.recombine`);
-* exact succession statistics and the closed-form limiting frequency of
-  any rollout schema (:mod:`rollmix.stats`);
+* the closed-form limiting frequency of any rollout schema, read off the
+  succession counts of the digraph below (:mod:`rollmix.stats`);
 * the exact orbit oracle: uniform averages over everything recombination
   can reach (:mod:`rollmix.recombine`);
-* the weighted succession digraph with payoff-harvesting random walkers
-  and its exact expected-payoff solver (:mod:`rollmix.digraph`).
+* the weighted succession digraph, the one store of succession counts,
+  with payoff-harvesting random walkers whose estimate is the exact mean
+  of their payoffs, and its exact expected-payoff solver
+  (:mod:`rollmix.digraph`).
 
 :mod:`rollmix.envsim` generates valid populations from toy partially
 observable environments, and :mod:`rollmix.cli` wraps everything in a
@@ -37,7 +39,7 @@ from .model import (
     state,
     validate_population,
 )
-from .stats import DownReport, down_report, frequency_children, limiting_frequency
+from .stats import down_report, frequency_children, limiting_frequency
 from .recombine import (
     ChainTrace,
     InflatedOrbit,
@@ -59,16 +61,13 @@ from .digraph import (
     CapExceeded,
     EvaluationReport,
     NoData,
-    QTable,
     Unsolvable,
     WalkOutcome,
     WeightedDigraph,
     build_digraph,
     evaluate_actions,
     exact_expected_payoff,
-    ingest_rollout,
     path_probability,
-    update_q,
     walk,
 )
 from .envsim import EnvModel, SimConfig, generate_population, make_random_pomdp, simulate_rollout
@@ -81,5 +80,3 @@ from .fileio import (
     roundtrip_population,
     save_population,
 )
-
-__all__ = [name for name in dir() if not name.startswith("_")]

@@ -50,7 +50,7 @@ from .fileio import (
 )
 from .model import InvalidPopulationError, Schema
 from .recombine import OrbitCapExceeded, TransformDistribution, enumerate_orbit, orbit_frequency, run_chain
-from .stats import DownReport, down_report, limiting_frequency_from_report
+from .stats import down_report, limiting_frequency_from_report
 
 
 class UsageError(Exception):
@@ -150,35 +150,22 @@ def _load_sim_config(path: str) -> SimConfig:
         raise ParseError(f"{path}: {exc}") from None
 
 
-def _down_report_json(report: DownReport) -> dict[str, Any]:
+def _successions_json(g: dg.WeightedDigraph, node: dg.Node) -> dict[str, Any]:
+    classes, terminals = g.successors(node)
+    out: dict[str, Any] = {
+        "classes": {str(j): g.edge_weight(node, dg.class_node(j)) for j in classes},
+        "terminals": terminals,
+    }
+    if node[0] == "class":
+        out.update(terminal_count=len(terminals), occurrences=g.out_weight(node))
+    return out
+
+
+def _down_report_json(g: dg.WeightedDigraph) -> dict[str, Any]:
     return {
-        "b": report.b,
-        "actions": {
-            action: {
-                "classes": {
-                    str(j): report.action_order[(a, j)]
-                    for (a, j) in sorted(report.action_order)
-                    if a == action
-                },
-                "terminals": sorted(report.action_terminals.get(action, frozenset())),
-            }
-            for action in sorted(
-                set(report.action_classes) | set(report.action_terminals)
-            )
-        },
-        "classes": {
-            str(i): {
-                "classes": {
-                    str(j): report.order[(i2, j)]
-                    for (i2, j) in sorted(report.order)
-                    if i2 == i
-                },
-                "terminals": sorted(report.class_terminals.get(i, frozenset())),
-                "terminal_count": report.terminal_count(i),
-                "occurrences": report.occ(i),
-            }
-            for i in sorted(report.occurrences)
-        },
+        "b": g.b,
+        "actions": {a: _successions_json(g, dg.action_node(a)) for a in sorted(g.actions)},
+        "classes": {str(i): _successions_json(g, dg.class_node(i)) for i in sorted(g.classes)},
     }
 
 
@@ -223,13 +210,13 @@ def _cmd_mix(args: argparse.Namespace) -> int:
 def _cmd_limit(args: argparse.Namespace) -> int:
     population, _ = load_population(args.pop)
     schemata = _schemata_from_args(args)
-    report = down_report(population)
+    graph = down_report(population)
     outputs = {
         "frequencies": {
-            format_schema(h): format_rational(limiting_frequency_from_report(report, h))
+            format_schema(h): format_rational(limiting_frequency_from_report(graph, h))
             for h in schemata
         },
-        "down_report": _down_report_json(report),
+        "down_report": _down_report_json(graph),
     }
     _emit(_report("limit", {"pop": args.pop}, outputs), args.out)
     return 0
@@ -241,7 +228,7 @@ def _cmd_orbit(args: argparse.Namespace) -> int:
     orbit = enumerate_orbit(population, cap=args.cap)
     outputs = {
         "orbit_size": orbit.size,
-        "canonical_classes": len(orbit.shapes),
+        "canonical_classes": orbit.n_classes,
         "fiber": orbit.fiber,
         "frequencies": {
             format_schema(h): format_rational(orbit_frequency(orbit, h)) for h in schemata

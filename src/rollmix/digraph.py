@@ -3,12 +3,13 @@
 Rollouts stream into a directed graph whose nodes are action sources,
 similarity classes, and terminal sinks.  Each observed succession bumps
 the corresponding edge weight by one, so after ingesting a population the
-edge weights coincide with its succession counts.  Independent walkers
-("bugs") start at an action and move along outgoing edges with
-probability proportional to edge weight until they hit a terminal sink,
-whose payoff feeds a running-mean action value
-
-    Q := n/(n+1) * Q + payoff/(n+1),   n := n + 1.
+edge weights are its succession counts; they are the only store of those
+counts, which the closed-form frequency (:mod:`rollmix.stats`) reads too.
+Independent walkers ("bugs") start at an action and move along outgoing
+edges with probability proportional to edge weight until they hit a
+terminal sink.  An action's value is the exact mean of the payoffs its
+walkers collect, summed as rationals, which equals the running-mean update
+Q := n/(n+1) * Q + payoff/(n+1) in any completion order.
 
 The walker estimate converges to the expected absorbed payoff, which
 exact_expected_payoff() computes in closed form over the rationals by
@@ -96,6 +97,18 @@ class WeightedDigraph:
     def edge_weight(self, src: Node, dst: Node) -> int:
         return self.out_edges(src).get(dst, 0)
 
+    @property
+    def b(self) -> int:
+        """Number of ingested rollouts: the summed out-weight of the actions."""
+        return sum(self.out_weight(action_node(a)) for a in self.actions)
+
+    def successors(self, node: Node) -> tuple[list[ClassId], list[TerminalLabel]]:
+        """Sorted class and terminal successors of a node."""
+        outs = self.out_edges(node)
+        classes = sorted(x for kind, x in outs if kind == "class")
+        terminals = sorted(x for kind, x in outs if kind == "terminal")
+        return classes, terminals  # type: ignore[return-value]
+
     def snapshot(self) -> "WalkTable":
         """Immutable sampling tables for the current graph state."""
         table: dict[Node, tuple[tuple[Node, ...], tuple[int, ...], int]] = {}
@@ -125,11 +138,6 @@ class WalkTable:
         return node in self.table
 
 
-def ingest_rollout(g: WeightedDigraph, r: Rollout) -> WeightedDigraph:
-    g.ingest(r)
-    return g
-
-
 def build_digraph(p: Population) -> WeightedDigraph:
     """Fold every rollout of the population into a fresh graph."""
     g = WeightedDigraph()
@@ -143,7 +151,6 @@ class WalkOutcome:
     action: ActionLabel
     terminal: TerminalLabel
     steps: int
-    payoff: Fraction | None = None
 
 
 def walk(
@@ -173,36 +180,6 @@ def walk(
 
 
 @dataclass(frozen=True)
-class QEntry:
-    q: float
-    n: int
-
-
-@dataclass(frozen=True)
-class QTable:
-    """Running-mean action values; absent action means no update yet."""
-
-    entries: Mapping[ActionLabel, QEntry] = field(default_factory=dict)
-
-    def q(self, action: ActionLabel) -> float:
-        return self.entries[action].q
-
-    def n(self, action: ActionLabel) -> int:
-        return self.entries[action].n if action in self.entries else 0
-
-
-def update_q(table: QTable, action: ActionLabel, payoff: float) -> QTable:
-    """One incremental update: Q := n/(n+1)*Q + payoff/(n+1), n := n+1."""
-    entries = dict(table.entries)
-    if action in entries:
-        old = entries[action]
-        entries[action] = QEntry((old.n * old.q + payoff) / (old.n + 1), old.n + 1)
-    else:
-        entries[action] = QEntry(float(payoff), 1)
-    return QTable(entries)
-
-
-@dataclass(frozen=True)
 class ActionEvaluation:
     """Per-action walker statistics; the exact payoff sum makes the mean
     independent of walk completion order."""
@@ -226,7 +203,6 @@ class ActionEvaluation:
 
 @dataclass(frozen=True)
 class EvaluationReport:
-    qtable: QTable
     per_action: Mapping[ActionLabel, ActionEvaluation]
     walks_requested: int
     seed: int
@@ -322,14 +298,7 @@ def evaluate_actions(
                     [_run_walks(table, a, payoffs, span, cap, seed) for span in spans]
                 )
 
-    qtable = QTable(
-        {
-            a: QEntry(float(ev.mean), ev.n)
-            for a, ev in per_action.items()
-            if ev.n > 0
-        }
-    )
-    return EvaluationReport(qtable, per_action, walks, seed)
+    return EvaluationReport(per_action, walks, seed)
 
 
 def _reachable(g: WeightedDigraph, start: Node) -> set[Node]:

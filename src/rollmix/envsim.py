@@ -23,10 +23,9 @@ from .model import (
     StateTag,
     TaggedState,
     TerminalLabel,
+    tag_symbol,
     validate_population,
 )
-
-_LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
 CAP_TERMINAL_PREFIX = "cap"
 
@@ -160,13 +159,7 @@ class TagAllocator:
 
     def take(self) -> StateTag:
         n, self._next = self._next, self._next + 1
-        symbol = ""
-        while True:
-            symbol = _LETTERS[n % 26] + symbol
-            n = n // 26 - 1
-            if n < 0:
-                break
-        return StateTag(symbol, 0)
+        return StateTag(tag_symbol(n), 0)
 
 
 @dataclass

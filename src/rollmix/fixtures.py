@@ -22,6 +22,7 @@ from .model import (
     Rollout,
     StateTag,
     TaggedState,
+    tag_symbol,
     validate_population,
 )
 
@@ -77,7 +78,7 @@ def random_population(
             cls = rng.randint(1, max_classes)
             idx = counters.get(cls, 0)
             counters[cls] = idx + 1
-            states.append(TaggedState(cls, StateTag(_tag_symbol(idx))))
+            states.append(TaggedState(cls, StateTag(tag_symbol(idx))))
         rollouts.append(Rollout(rng.choice(actions), tuple(states), f"f{i}"))
     return validate_population(rollouts)
 
@@ -115,16 +116,7 @@ def random_homologous_population(
             cls = rng.choice(pools[level])
             idx = counters.get(cls, 0)
             counters[cls] = idx + 1
-            states.append(TaggedState(cls, StateTag(_tag_symbol(idx))))
+            states.append(TaggedState(cls, StateTag(tag_symbol(idx))))
         rollouts.append(Rollout(rng.choice(actions), tuple(states), f"f{i}"))
     return validate_population(rollouts)
 
-
-def _tag_symbol(index: int) -> str:
-    symbol = ""
-    n = index
-    while True:
-        symbol = "abcdefghijklmnopqrstuvwxyz"[n % 26] + symbol
-        n = n // 26 - 1
-        if n < 0:
-            return symbol

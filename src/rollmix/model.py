@@ -87,6 +87,15 @@ class TaggedState:
         return f"({self.cls},{self.tag})"
 
 
+def tag_symbol(index: int) -> str:
+    """Bijective base-26 letter string of a tag index: a..z, aa, ab, ..."""
+    symbol = ""
+    while index >= 0:
+        symbol = "abcdefghijklmnopqrstuvwxyz"[index % 26] + symbol
+        index = index // 26 - 1
+    return symbol
+
+
 def state(cls: ClassId, symbol: str, copy: int = 0) -> TaggedState:
     """Shorthand constructor used heavily in tests and demos."""
     return TaggedState(cls, StateTag(symbol, copy))

@@ -43,6 +43,7 @@ from .model import (
     StateTag,
     TaggedState,
     WILDCARD,
+    inflate,
     schema_count,
 )
 from .stats import Frequency
@@ -289,14 +290,57 @@ def _bfs_shapes(start: EncodedShape, fiber: int, cap: int) -> list[EncodedShape]
     return sorted(seen)
 
 
-def _class_fiber(p: Population) -> tuple[dict[ClassId, int], int]:
+def _class_fiber(p: Population) -> int:
+    """Number of tag relabellings of a population: prod_i n_i! over classes."""
     counts: dict[ClassId, int] = {}
     for _, _, s in p.states():
         counts[s.cls] = counts.get(s.cls, 0) + 1
     fiber = 1
     for n in counts.values():
         fiber *= factorial(n)
-    return counts, fiber
+    return fiber
+
+
+def _encode_start(p: Population) -> tuple[EncodedShape, tuple[str, ...], tuple[str, ...]]:
+    """The population's shape, integer-encoded, with its action and terminal names."""
+    action_names = tuple(sorted({r.action for r in p.rollouts}))
+    terminal_names = tuple(sorted(p.terminals()))
+    action_ids = {name: i for i, name in enumerate(action_names)}
+    terminal_ids = {name: i for i, name in enumerate(terminal_names)}
+    start = tuple((action_ids[r.action], terminal_ids[r.terminal]) + r.classes for r in p.rollouts)
+    return start, action_names, terminal_names
+
+
+def _shape_frequency(
+    encoded: Sequence[EncodedShape],
+    action_names: tuple[str, ...],
+    terminal_names: tuple[str, ...],
+    b: int,
+    h: Schema,
+) -> Frequency:
+    """Mean of (slots fitting the schema)/b over integer-encoded shapes."""
+    if h.is_root:
+        return Fraction(1)
+    if h.action not in action_names:
+        return Fraction(0)
+    action_id = action_names.index(h.action)
+    if h.wildcard_tail:
+        tail_token = None
+    elif h.tail in terminal_names:
+        tail_token = terminal_names.index(h.tail)
+    else:
+        return Fraction(0)
+    k = len(h.classes)
+    total = 0
+    for shape in encoded:
+        for slot in shape:
+            if slot[0] != action_id:
+                continue
+            if tail_token is None:
+                total += slot[2 : 2 + k] == h.classes
+            else:
+                total += slot[1] == tail_token and slot[2:] == h.classes
+    return Fraction(total, len(encoded) * b)
 
 
 @dataclass(frozen=True)
@@ -312,7 +356,6 @@ class OrbitSet:
     encoded: tuple[EncodedShape, ...]
     action_names: tuple[str, ...]
     terminal_names: tuple[str, ...]
-    class_counts: Mapping[ClassId, int]
     fiber: int
     size: int
 
@@ -388,64 +431,24 @@ def enumerate_orbit(p0: Population, cap: int = 10**6) -> OrbitSet:
     Raises OrbitCapExceeded as soon as the exact orbit size would exceed
     ``cap``.  Memory grows only with the number of canonical classes.
     """
-    class_counts, fiber = _class_fiber(p0)
+    fiber = _class_fiber(p0)
     if fiber > cap:
         raise OrbitCapExceeded(f"orbit size is at least {fiber}, cap {cap}")
-
-    action_names = tuple(sorted({r.action for r in p0.rollouts}))
-    terminal_names = tuple(sorted(p0.terminals()))
-    action_ids = {name: i for i, name in enumerate(action_names)}
-    terminal_ids = {name: i for i, name in enumerate(terminal_names)}
-    start: EncodedShape = tuple(
-        (action_ids[r.action], terminal_ids[r.terminal]) + r.classes for r in p0.rollouts
-    )
+    start, action_names, terminal_names = _encode_start(p0)
     shapes = _bfs_shapes(start, fiber, cap)
     return OrbitSet(
         p0,
         tuple(shapes),
         action_names,
         terminal_names,
-        dict(class_counts),
         fiber,
         len(shapes) * fiber,
     )
 
 
-def _encoded_matches(
-    o: OrbitSet, action_id: int | None, classes: tuple[int, ...], tail_token: int | None, wildcard: bool
-) -> int:
-    total = 0
-    k = len(classes)
-    for shape in o.encoded:
-        for slot in shape:
-            if action_id is not None and slot[0] != action_id:
-                continue
-            slot_classes = slot[2:]
-            if wildcard:
-                if len(slot_classes) >= k and slot_classes[:k] == classes:
-                    total += 1
-            else:
-                if slot[1] == tail_token and slot_classes == classes:
-                    total += 1
-    return total
-
-
 def orbit_frequency(o: OrbitSet, h: Schema) -> Frequency:
     """Exact mean of (matching rollouts)/b over the whole orbit."""
-    denominator = o.n_classes * o.b
-    if h.is_root:
-        return Fraction(1)
-    actions, terminals, _ = o._lookup
-    if h.action not in actions:
-        return Fraction(0)
-    if h.wildcard_tail:
-        tail_token = None
-    else:
-        if h.tail not in terminals:
-            return Fraction(0)
-        tail_token = terminals[h.tail]
-    total = _encoded_matches(o, actions[h.action], h.classes, tail_token, h.wildcard_tail)
-    return Fraction(total, denominator)
+    return _shape_frequency(o.encoded, o.action_names, o.terminal_names, o.b, h)
 
 
 def fitted_schema_counts(o: OrbitSet, max_height: int) -> dict[Schema, int]:
@@ -505,31 +508,7 @@ class InflatedOrbit:
 
     def family_frequency(self, h: Schema) -> Frequency:
         """Exact orbit mean of (rollouts fitting the transported schema)/b."""
-        if h.is_root:
-            return Fraction(1)
-        actions = {name: i for i, name in enumerate(self.action_names)}
-        families = {name: i for i, name in enumerate(self.family_names)}
-        if h.action not in actions:
-            return Fraction(0)
-        if h.wildcard_tail:
-            tail_token = None
-        else:
-            if h.tail not in families:
-                return Fraction(0)
-            tail_token = families[h.tail]
-        total = 0
-        k = len(h.classes)
-        for shape in self.encoded:
-            for slot in shape:
-                if slot[0] != actions[h.action]:
-                    continue
-                slot_classes = slot[2:]
-                if h.wildcard_tail:
-                    if len(slot_classes) >= k and slot_classes[:k] == h.classes:
-                        total += 1
-                elif slot[1] == tail_token and slot_classes == h.classes:
-                    total += 1
-        return Fraction(total, self.n_classes * self.b)
+        return _shape_frequency(self.encoded, self.action_names, self.family_names, self.b, h)
 
 
 def enumerate_inflated_orbit(p0: Population, m: int, cap: int = 10**6) -> InflatedOrbit:
@@ -539,26 +518,15 @@ def enumerate_inflated_orbit(p0: Population, m: int, cap: int = 10**6) -> Inflat
     rollout's terminal can never move, so its copies would not be
     interchangeable and the family quotient would overcount.
     """
-    from .model import inflate
-
     if any(r.height == 0 for r in p0.rollouts):
         raise ValueError("family quotient needs every rollout to carry a state")
-    inflated = inflate(p0, m)
-    class_counts, class_fiber = _class_fiber(inflated)
-    fiber = class_fiber * factorial(m) ** p0.b
+    fiber = _class_fiber(inflate(p0, m)) * factorial(m) ** p0.b
     if fiber > cap:
         raise OrbitCapExceeded(f"orbit size is at least {fiber}, cap {cap}")
-
-    action_names = tuple(sorted({r.action for r in p0.rollouts}))
-    family_names = tuple(sorted(p0.terminals()))
-    action_ids = {name: i for i, name in enumerate(action_names)}
-    family_ids = {name: i for i, name in enumerate(family_names)}
-    # Slot i*m + c of the inflated population is copy c of base rollout i.
-    start: EncodedShape = tuple(
-        (action_ids[p0.rollouts[j // m].action], family_ids[p0.rollouts[j // m].terminal])
-        + r.classes
-        for j, r in enumerate(inflated.rollouts)
-    )
+    base, action_names, family_names = _encode_start(p0)
+    # Slot i*m + c of the inflated population is copy c of base rollout i,
+    # which shares its action, classes and terminal family.
+    start = tuple(slot for slot in base for _ in range(m))
     shapes = _bfs_shapes(start, fiber, cap)
     return InflatedOrbit(
         p0,

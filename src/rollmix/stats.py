@@ -1,165 +1,44 @@
-"""Succession statistics and the closed-form limiting schema frequency.
+"""The closed-form limiting schema frequency, read off the succession digraph.
 
-Everything here is exact rational arithmetic.  The central object is the
-succession report: for each action the classes (and, for stateless
-rollouts, terminals) that immediately follow it, and for each class the
-classes and terminals that immediately follow it anywhere in the
-population, with occurrence counts.  These counts are invariant under
-every crossover transformation, which is what makes the closed-form
-frequency below meaningful.
+Everything here is exact rational arithmetic.  The succession counts of a
+population live in one place, the edge weights of its digraph
+(:func:`rollmix.digraph.build_digraph`): the weight of edge i -> j counts
+how often class j directly follows class i, and the out-weight of class i
+is its number of occurrences.  These counts are invariant under every
+crossover transformation, which is what makes the closed-form frequency
+below meaningful.
 
 For a schema (a, c1..ck, tail) the limiting frequency is
 
-    count(a -> c1)/b  *  prod_q count(c_{q-1} -> c_q)/occ(c_{q-1})  *  LF
+    (rollouts starting with a)/b  *  P(a walk from a traces c1..ck, tail)
 
-where LF is 1 for a ``#`` tail, 0 for a terminal that never follows ck,
-and 1/occ(ck) for one that does.  Any factor with a zero numerator makes
-the whole product 0, regardless of its denominator.
+where the walk moves along edges in proportion to their weight and a ``#``
+tail pins nothing after ck.  Written out, that is
+count(a -> c1)/b * prod_q count(c_{q-1} -> c_q)/occ(c_{q-1}) * LF with LF
+1 for ``#``, 1/occ(ck) for a terminal following ck, and 0 otherwise.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from types import MappingProxyType
-from typing import Mapping
 
-from .model import (
-    ActionLabel,
-    ClassId,
-    Population,
-    ROOT,
-    Schema,
-    TerminalLabel,
-    WILDCARD,
-)
+from .digraph import WeightedDigraph, action_node, build_digraph, class_node, path_probability
+from .model import Population, Schema, WILDCARD
 
 Frequency = Fraction
 
 
-@dataclass(frozen=True)
-class DownReport:
-    """Immediate-succession statistics of a population.
-
-    ``order[(i, j)]`` counts how often class j directly follows class i;
-    ``action_order[(a, j)]`` counts rollouts starting (a, j, ...).  Terminal
-    successors are kept as label sets; their sizes are the per-class
-    terminal counts.  ``occurrences[i]`` is the total number of times class
-    i appears, which equals its outgoing successions (class or terminal).
-    """
-
-    b: int
-    action_classes: Mapping[ActionLabel, frozenset[ClassId]]
-    action_order: Mapping[tuple[ActionLabel, ClassId], int]
-    action_terminals: Mapping[ActionLabel, frozenset[TerminalLabel]]
-    class_classes: Mapping[ClassId, frozenset[ClassId]]
-    order: Mapping[tuple[ClassId, ClassId], int]
-    class_terminals: Mapping[ClassId, frozenset[TerminalLabel]]
-    occurrences: Mapping[ClassId, int]
-
-    def down(self, i: ClassId) -> frozenset[ClassId | TerminalLabel]:
-        """Successor set of class i: classes and terminal labels together."""
-        return frozenset(self.class_classes.get(i, frozenset())) | frozenset(
-            self.class_terminals.get(i, frozenset())
-        )
-
-    def terminal_count(self, i: ClassId) -> int:
-        """Number of terminal labels directly following class i."""
-        return len(self.class_terminals.get(i, frozenset()))
-
-    def occ(self, i: ClassId) -> int:
-        return self.occurrences.get(i, 0)
-
-    def order_count(self, i: ClassId, j: ClassId) -> int:
-        return self.order.get((i, j), 0)
-
-    def action_order_count(self, a: ActionLabel, j: ClassId) -> int:
-        return self.action_order.get((a, j), 0)
-
-    def action_rollouts(self, a: ActionLabel) -> int:
-        """Number of rollouts starting with action a."""
-        return sum(n for (a2, _), n in self.action_order.items() if a2 == a) + len(
-            self.action_terminals.get(a, frozenset())
-        )
+def down_report(p: Population) -> WeightedDigraph:
+    """The succession counts of a valid population: its weighted digraph."""
+    return build_digraph(p)
 
 
-def down_report(p: Population) -> DownReport:
-    """Compute the succession statistics of a valid population."""
-    action_classes: dict[ActionLabel, set[ClassId]] = {}
-    action_order: dict[tuple[ActionLabel, ClassId], int] = {}
-    action_terminals: dict[ActionLabel, set[TerminalLabel]] = {}
-    class_classes: dict[ClassId, set[ClassId]] = {}
-    order: dict[tuple[ClassId, ClassId], int] = {}
-    class_terminals: dict[ClassId, set[TerminalLabel]] = {}
-    occurrences: dict[ClassId, int] = {}
-
-    for r in p.rollouts:
-        classes = r.classes
-        if classes:
-            first = classes[0]
-            action_classes.setdefault(r.action, set()).add(first)
-            key = (r.action, first)
-            action_order[key] = action_order.get(key, 0) + 1
-        else:
-            action_terminals.setdefault(r.action, set()).add(r.terminal)
-        for i, j in zip(classes, classes[1:]):
-            class_classes.setdefault(i, set()).add(j)
-            order[(i, j)] = order.get((i, j), 0) + 1
-        if classes:
-            class_terminals.setdefault(classes[-1], set()).add(r.terminal)
-        for i in classes:
-            occurrences[i] = occurrences.get(i, 0) + 1
-
-    def freeze(d: dict) -> Mapping:
-        return MappingProxyType({k: frozenset(v) if isinstance(v, set) else v for k, v in d.items()})
-
-    return DownReport(
-        b=p.b,
-        action_classes=freeze(action_classes),
-        action_order=MappingProxyType(dict(action_order)),
-        action_terminals=freeze(action_terminals),
-        class_classes=freeze(class_classes),
-        order=MappingProxyType(dict(order)),
-        class_terminals=freeze(class_terminals),
-        occurrences=MappingProxyType(dict(occurrences)),
-    )
-
-
-def limiting_frequency_from_report(report: DownReport, h: Schema) -> Frequency:
-    """Closed-form limiting frequency of a schema, from precomputed statistics."""
+def limiting_frequency_from_report(g: WeightedDigraph, h: Schema) -> Frequency:
+    """Closed-form limiting frequency of a schema, from a population's digraph."""
     if h.is_root:
         return Fraction(1)
-    action = h.action
-    assert action is not None
-    if not h.classes:
-        if h.wildcard_tail:
-            return Fraction(report.action_rollouts(action), report.b)
-        # Stateless pattern (action, terminal): fixed by every transform, so
-        # its frequency is simply whether that exact rollout is present.
-        present = h.tail in report.action_terminals.get(action, frozenset())
-        return Fraction(1 if present else 0, report.b)
-
-    first = h.classes[0]
-    numerators = [report.action_order_count(action, first)]
-    denominators = [report.b]
-    for prev, cur in zip(h.classes, h.classes[1:]):
-        numerators.append(report.order_count(prev, cur))
-        denominators.append(report.occ(prev))
-    if not h.wildcard_tail:
-        last = h.classes[-1]
-        if h.tail in report.class_terminals.get(last, frozenset()):
-            numerators.append(1)
-            denominators.append(report.occ(last))
-        else:
-            numerators.append(0)
-            denominators.append(1)
-
-    if any(n == 0 for n in numerators):
-        return Fraction(0)
-    value = Fraction(1)
-    for n, d in zip(numerators, denominators):
-        value *= Fraction(n, d)
-    return value
+    assert h.action is not None
+    return Fraction(g.out_weight(action_node(h.action)), g.b) * path_probability(g, h)
 
 
 def limiting_frequency(p: Population, h: Schema) -> Frequency:
@@ -178,26 +57,17 @@ def frequency_children(p: Population, h: Schema) -> dict[Schema, Frequency]:
     """
     if not (h.is_root or h.wildcard_tail):
         raise ValueError("frequency_children expects a #-tailed schema")
-    report = down_report(p)
+    g = down_report(p)
     children: dict[Schema, Frequency] = {}
     if h.is_root:
-        for action in sorted({r.action for r in p.rollouts}):
+        for action in sorted(g.actions):
             child = Schema(action, (), WILDCARD)
-            children[child] = limiting_frequency_from_report(report, child)
+            children[child] = limiting_frequency_from_report(g, child)
         return children
-    action = h.action
-    assert action is not None
-    if h.classes:
-        last = h.classes[-1]
-        class_succ = sorted(report.class_classes.get(last, frozenset()))
-        term_succ = sorted(report.class_terminals.get(last, frozenset()))
-    else:
-        class_succ = sorted(report.action_classes.get(action, frozenset()))
-        term_succ = sorted(report.action_terminals.get(action, frozenset()))
-    for j in class_succ:
-        child = h.extend(j)
-        children[child] = limiting_frequency_from_report(report, child)
-    for f in term_succ:
-        child = h.extend(f)
-        children[child] = limiting_frequency_from_report(report, child)
+    assert h.action is not None
+    node = class_node(h.classes[-1]) if h.classes else action_node(h.action)
+    class_succ, term_succ = g.successors(node)
+    for entry in (*class_succ, *term_succ):
+        child = h.extend(entry)
+        children[child] = limiting_frequency_from_report(g, child)
     return children

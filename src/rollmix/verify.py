@@ -28,7 +28,9 @@ from .fixtures import (
 )
 from .model import Population, ROOT, Schema, WILDCARD
 from .recombine import (
+    ChainTrace,
     OrbitCapExceeded,
+    _class_fiber,
     OrbitSet,
     TransformDistribution,
     apply_transform,
@@ -98,12 +100,12 @@ def check_stat_invariance(seed: int = 202, populations: int = 200, steps: int = 
         rng = random.Random(seed)
         for _ in range(populations):
             p = random_population(rng, allow_stateless=True)
-            reference = down_report(p)
+            reference = down_report(p).weights
             gens = generator_index(p)
             q = p
             for _ in range(steps):
                 q = apply_transform(q, gens[rng.randrange(len(gens))])
-            if down_report(q) != reference:
+            if down_report(q).weights != reference:
                 return False, f"statistics drifted for {p}"
         return True, f"{populations} populations x {steps}-step sequences"
 
@@ -126,15 +128,14 @@ def _candidate_schemata(p: Population, max_height: int) -> list[Schema]:
 
 def _orbit_matches_formula(p: Population, o: OrbitSet, max_height: int) -> str | None:
     """None if exact agreement holds for every schema up to max_height."""
-    report = down_report(p)
+    graph = down_report(p)
     totals = fitted_schema_counts(o, max_height)
-    n_shapes = len(o.shapes)
     for h in _candidate_schemata(p, max_height):
         if h.is_root:
             observed = Fraction(1)
         else:
-            observed = Fraction(totals.get(h, 0), n_shapes * o.b)
-        predicted = limiting_frequency_from_report(report, h)
+            observed = Fraction(totals.get(h, 0), o.n_classes * o.b)
+        predicted = limiting_frequency_from_report(graph, h)
         if observed != predicted:
             return f"schema {h}: orbit {observed} != formula {predicted} on {p}"
     return None
@@ -162,7 +163,7 @@ def check_homologous_exactness(seed: int = 303, populations: int = 20) -> CheckR
         while done < populations:
             p = random_homologous_population(rng, min_b=2)
             try:
-                o = enumerate_orbit(p, cap=200_000 * _fiber_bound(p))
+                o = enumerate_orbit(p, cap=200_000 * _class_fiber(p))
             except OrbitCapExceeded:
                 continue  # rare oversized draw; take another sample
             mismatch = _orbit_matches_formula(p, o, 3)
@@ -172,18 +173,6 @@ def check_homologous_exactness(seed: int = 303, populations: int = 20) -> CheckR
         return True, f"fixture + {populations} random homologous populations, all schemata to height 3"
 
     return _timed("homologous exactness", run)
-
-
-def _fiber_bound(p: Population) -> int:
-    from math import factorial
-
-    counts: dict[int, int] = {}
-    for _, _, s in p.states():
-        counts[s.cls] = counts.get(s.cls, 0) + 1
-    fiber = 1
-    for n in counts.values():
-        fiber *= factorial(n)
-    return fiber
 
 
 def check_chain_convergence(seed: int = 404, steps: int = 100_000) -> CheckResult:
@@ -211,20 +200,40 @@ def check_chain_convergence(seed: int = 404, steps: int = 100_000) -> CheckResul
 def check_uniform_stationarity(
     seed: int = 505, steps: int = 1_000_000, stride: int = 101, p_threshold: float = 0.001
 ) -> CheckResult:
-    """Thinned visit counts on a small orbit pass a uniform chi-square test.
+    """Thinned visit counts on a small orbit pass a uniform chi-square test,
+    and the same run's schema frequencies settle on the exact orbit means.
 
     Consecutive chain samples are autocorrelated, which would invalidate
     the chi-square independence assumption, so visits are subsampled with
-    a stride well past the mixing time.
+    a stride well past the mixing time.  The running frequencies use every
+    step.
     """
+    return run_uniform_stationarity(seed, steps, stride, p_threshold)[0]
+
+
+def run_uniform_stationarity(
+    seed: int = 505, steps: int = 1_000_000, stride: int = 101, p_threshold: float = 0.001
+) -> tuple[CheckResult, ChainTrace | None]:
+    """``check_uniform_stationarity`` that also hands back its chain, so
+    further assertions on the same run need not repeat it.  The trace is
+    None when the check stops before running the chain."""
+    trace: ChainTrace | None = None
 
     def run() -> tuple[bool, str]:
+        nonlocal trace
         p = population_b()
         orbit = enumerate_orbit(p)
         if orbit.size > 50:
             return False, f"fixture orbit too large for the test: {orbit.size}"
+        schemata = [Schema("alpha", (1, 2), "f1"), Schema("beta", (2, 1), "f2")]
         mu = TransformDistribution.from_population(p)
-        trace = run_chain(p, steps, mu, [], seed, visit_stride=stride)
+        trace = run_chain(p, steps, mu, schemata, seed, visit_stride=stride)
+        for h in schemata:
+            mean = orbit_frequency(orbit, h)
+            if mean != Fraction(1, 6):
+                return False, f"orbit mean of {h} is {mean}, expected 1/6"
+            if abs(trace.phi(h) - mean) > Fraction(1, 100):
+                return False, f"phi({h}) = {float(trace.phi(h)):.5f}, off the orbit mean {mean} by more than 1/100"
         assert trace.visits is not None
         for visited in trace.visits:
             if not orbit.contains(visited):
@@ -236,9 +245,14 @@ def check_uniform_stationarity(
         stat, p_value = chisquare(observed)
         if p_value <= p_threshold:
             return False, f"chi-square p={p_value:.2e} (stat {stat:.1f}) vs uniform over {orbit.size}"
-        return True, f"orbit {orbit.size}, {sum(observed)} thinned samples, chi-square p={p_value:.3f}"
+        phis = ", ".join(f"phi({h})={float(trace.phi(h)):.5f}" for h in schemata)
+        return True, (
+            f"orbit {orbit.size}, {sum(observed)} thinned samples, chi-square p={p_value:.3f};"
+            f" {phis} (orbit mean 1/6 +- 0.01)"
+        )
 
-    return _timed("uniform stationarity", run)
+    result = _timed("uniform stationarity", run)
+    return result, trace
 
 
 def check_inflation_trend(max_factor: int = 4) -> CheckResult:
@@ -338,17 +352,19 @@ def check_flow_conservation(seed: int = 707, populations: int = 100) -> CheckRes
 def check_terminal_count_identity(seed: int = 808, populations: int = 1000) -> CheckResult:
     """Per-class terminal counts sum to the population size."""
 
+    def terminal_total(p: Population) -> int:
+        graph = down_report(p)
+        return sum(len(graph.successors(dg.class_node(i))[1]) for i in graph.classes)
+
     def run() -> tuple[bool, str]:
         for fixture in (population_a(), population_b()):
-            report = down_report(fixture)
-            total = sum(report.terminal_count(i) for i in report.occurrences)
+            total = terminal_total(fixture)
             if total != fixture.b:
                 return False, f"fixture sums {total} != b={fixture.b}"
         rng = random.Random(seed)
         for _ in range(populations):
             p = random_population(rng, allow_stateless=False)
-            report = down_report(p)
-            total = sum(report.terminal_count(i) for i in report.occurrences)
+            total = terminal_total(p)
             if total != p.b:
                 return False, f"sum {total} != b={p.b} for {p}"
         return True, f"fixtures + {populations} random populations"

@@ -11,14 +11,15 @@ FIXTURES = Path(__file__).parent / "fixtures"
 
 
 @pytest.fixture(scope="session")
-def million_step_trace():
-    """One long mixing run on the loop fixture, shared by the stationarity
-    and oracle-agreement tests (it is the expensive part of the suite)."""
-    from rollmix import Schema
-    from rollmix.fixtures import population_b
-    from rollmix.recombine import TransformDistribution, run_chain
+def stationarity_run():
+    """Criterion 05 with its million-step mixing run on the loop fixture.
+    The run is the expensive part of the suite, so the criterion and the
+    oracle-agreement tests share it."""
+    from rollmix import verify
 
-    p = population_b()
-    schemata = [Schema("alpha", (1, 2), "f1"), Schema("beta", (2, 1), "f2")]
-    mu = TransformDistribution.from_population(p)
-    return run_chain(p, 1_000_000, mu, schemata, seed=505, visit_stride=101)
+    return verify.run_uniform_stationarity(seed=505, steps=1_000_000, stride=101)
+
+
+@pytest.fixture(scope="session")
+def million_step_trace(stationarity_run):
+    return stationarity_run[1]

@@ -3,7 +3,9 @@ from pathlib import Path
 
 import pytest
 
+from rollmix import __version__
 from rollmix.cli import dispatch
+from rollmix.fileio import dump_canonical
 from rollmix.verify import CheckResult
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -84,6 +86,56 @@ class TestExitCodes:
         assert code == 1
 
 
+GOLDEN_SCHEMATA = [
+    "#", "alpha,#", "beta,#", "alpha,1,#", "alpha,1,2,#", "alpha,1,2,f1",
+    "alpha,1,f2", "beta,2,1,f2", "beta,1,2,1,#", "omega,#",
+]
+
+GOLDEN_LIMIT = {
+    "P_A": {
+        "frequencies": {
+            "#": "1", "alpha,#": "2/3", "beta,#": "1/3", "alpha,1,#": "2/3",
+            "alpha,1,2,#": "2/3", "alpha,1,2,f1": "2/9", "alpha,1,f2": "0",
+            "beta,2,1,f2": "0", "beta,1,2,1,#": "0", "omega,#": "0",
+        },
+        "down_report": {
+            "b": 3,
+            "actions": {
+                "alpha": {"classes": {"1": 2}, "terminals": []},
+                "beta": {"classes": {"1": 1}, "terminals": []},
+            },
+            "classes": {
+                "1": {"classes": {"2": 3}, "terminals": [], "terminal_count": 0, "occurrences": 3},
+                "2": {
+                    "classes": {},
+                    "terminals": ["f1", "f2", "f3"],
+                    "terminal_count": 3,
+                    "occurrences": 3,
+                },
+            },
+        },
+    },
+    "P_B": {
+        "frequencies": {
+            "#": "1", "alpha,#": "1/2", "beta,#": "1/2", "alpha,1,#": "1/2",
+            "alpha,1,2,#": "1/4", "alpha,1,2,f1": "1/8", "alpha,1,f2": "1/4",
+            "beta,2,1,f2": "1/8", "beta,1,2,1,#": "0", "omega,#": "0",
+        },
+        "down_report": {
+            "b": 2,
+            "actions": {
+                "alpha": {"classes": {"1": 1}, "terminals": []},
+                "beta": {"classes": {"2": 1}, "terminals": []},
+            },
+            "classes": {
+                "1": {"classes": {"2": 1}, "terminals": ["f2"], "terminal_count": 1, "occurrences": 2},
+                "2": {"classes": {"1": 1}, "terminals": ["f1"], "terminal_count": 1, "occurrences": 2},
+            },
+        },
+    },
+}
+
+
 class TestLimit:
     def test_pinned_frequency_in_report(self, capsys):
         code, out, _ = run(
@@ -103,6 +155,24 @@ class TestLimit:
         assert code == 0
         freqs = json.loads(out)["outputs"]["frequencies"]
         assert freqs == {"alpha,1,2,f1": "1/8", "#": "1"}
+
+    @pytest.mark.parametrize("fixture", ["P_A", "P_B"])
+    def test_golden_report(self, capsys, fixture):
+        # The whole report, byte for byte: frequencies of every schema kind
+        # and the succession counts read off the digraph.
+        pop = str(FIXTURES / f"{fixture}.json")
+        argv = ["limit", "--pop", pop]
+        for text in GOLDEN_SCHEMATA:
+            argv += ["--schema", text]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        expected = {
+            "command": "limit",
+            "tool": {"name": "rollmix", "version": __version__},
+            "inputs": {"pop": pop},
+            "outputs": GOLDEN_LIMIT[fixture],
+        }
+        assert out == dump_canonical(expected)
 
 
 class TestMix:

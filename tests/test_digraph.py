@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,6 @@ from rollmix import Rollout, Schema, state, validate_population
 from rollmix.digraph import (
     CapExceeded,
     NoData,
-    QTable,
     Unsolvable,
     WeightedDigraph,
     action_node,
@@ -15,10 +15,8 @@ from rollmix.digraph import (
     class_node,
     evaluate_actions,
     exact_expected_payoff,
-    ingest_rollout,
     path_probability,
     terminal_node,
-    update_q,
     walk,
 )
 from rollmix.fixtures import (
@@ -28,7 +26,6 @@ from rollmix.fixtures import (
     population_b,
     random_population,
 )
-from rollmix.stats import down_report
 
 
 class TestIngest:
@@ -56,16 +53,16 @@ class TestIngest:
     def test_double_ingest_doubles(self):
         r = population_b().rollouts[0]
         g = WeightedDigraph()
-        ingest_rollout(g, r)
+        g.ingest(r)
         once = {src: dict(outs) for src, outs in g.weights.items()}
-        ingest_rollout(g, r)
+        g.ingest(r)
         for src, outs in g.weights.items():
             for dst, w in outs.items():
                 assert w == 2 * once[src][dst]
 
     def test_stateless_rollout_makes_action_terminal_edge(self):
         g = WeightedDigraph()
-        ingest_rollout(g, Rollout("alpha", (), "f9"))
+        g.ingest(Rollout("alpha", (), "f9"))
         assert g.edge_weight(action_node("alpha"), terminal_node("f9")) == 1
 
     def test_order_independent(self):
@@ -73,7 +70,7 @@ class TestIngest:
         g1 = build_digraph(p)
         g2 = WeightedDigraph()
         for r in reversed(p.rollouts):
-            ingest_rollout(g2, r)
+            g2.ingest(r)
         assert g1.weights == g2.weights
 
     def test_class_nodes_always_lead_to_some_terminal(self):
@@ -92,22 +89,30 @@ class TestIngest:
                 )  # raises Unsolvable if a reachable node is stuck
 
     def test_weights_match_succession_statistics(self):
+        # Recount every succession from the rollouts themselves: class to
+        # class, action to first class, and last state (or action) to terminal.
         rng = random.Random(81)
         for _ in range(60):
             p = random_population(rng, allow_stateless=True)
             g = build_digraph(p)
-            report = down_report(p)
-            for (i, j), n in report.order.items():
+            order, starts, ends = Counter(), Counter(), Counter()
+            for r in p.rollouts:
+                order.update(zip(r.classes, r.classes[1:]))
+                starts[r.action, r.classes[0] if r.classes else r.terminal] += 1
+                ends[r.classes[-1] if r.classes else r.action, r.terminal] += 1
+            for (i, j), n in order.items():
                 assert g.edge_weight(class_node(i), class_node(j)) == n
-            for (a, j), n in report.action_order.items():
-                assert g.edge_weight(action_node(a), class_node(j)) == n
-            for i in report.occurrences:
-                out_to_terminals = sum(
-                    w
-                    for dst, w in g.out_edges(class_node(i)).items()
-                    if dst[0] == "terminal"
-                )
-                assert out_to_terminals == report.terminal_count(i)
+            for (a, first), n in starts.items():
+                dst = class_node(first) if isinstance(first, int) else terminal_node(first)
+                assert g.edge_weight(action_node(a), dst) == n
+            for (last, f), n in ends.items():
+                src = class_node(last) if isinstance(last, int) else action_node(last)
+                assert g.edge_weight(src, terminal_node(f)) == n
+            edges = sum(len(outs) for outs in g.weights.values())
+            assert edges == len(order) + len(starts) + len(ends) - sum(
+                1 for r in p.rollouts if not r.classes
+            )
+            assert g.b == p.b
 
 
 class TestWalk:
@@ -140,31 +145,6 @@ class TestWalk:
         assert path_probability(g, Schema("alpha", (2,), "#")) == 0
 
 
-class TestUpdateQ:
-    def test_first_update(self):
-        q = update_q(QTable(), "alpha", 5.0)
-        assert q.q("alpha") == 5.0
-        assert q.n("alpha") == 1
-
-    def test_running_mean(self):
-        q = QTable()
-        for payoff in (1.0, 0.0, 1.0, 0.0):
-            q = update_q(q, "alpha", payoff)
-        assert q.q("alpha") == pytest.approx(0.5)
-        assert q.n("alpha") == 4
-
-    def test_constant_sequence(self):
-        q = QTable()
-        for _ in range(10_000):
-            q = update_q(q, "a", 3.25)
-        assert abs(q.q("a") - 3.25) < 1e-9
-
-    def test_original_table_untouched(self):
-        q0 = QTable()
-        update_q(q0, "alpha", 1.0)
-        assert q0.n("alpha") == 0
-
-
 class TestExactExpectedPayoff:
     def test_loop_fixture_values(self):
         g = build_digraph(population_b())
@@ -173,7 +153,7 @@ class TestExactExpectedPayoff:
 
     def test_direct_absorption(self):
         g = WeightedDigraph()
-        ingest_rollout(g, Rollout("alpha", (), "f"))
+        g.ingest(Rollout("alpha", (), "f"))
         assert exact_expected_payoff(g, "alpha", {"f": Fraction(7, 2)}) == Fraction(7, 2)
 
     def test_forced_path_fixture(self):
@@ -201,14 +181,7 @@ class TestEvaluateActions:
     def test_zero_walks_gives_empty_table(self):
         g = build_digraph(population_b())
         report = evaluate_actions(g, ["alpha", "beta"], 0, payoffs_b(), seed=1)
-        assert report.qtable.entries == {}
-
-    def test_mean_equals_exact_average_of_update_q(self):
-        g = build_digraph(population_b())
-        report = evaluate_actions(g, ["alpha"], 500, payoffs_b(), seed=5)
-        ev = report.per_action["alpha"]
-        assert ev.n == 500
-        assert float(ev.mean) == pytest.approx(report.qtable.q("alpha"))
+        assert report.per_action == {}
 
     def test_duplicate_actions_merged(self):
         g = build_digraph(population_b())
@@ -248,19 +221,27 @@ class TestEvaluateActions:
 def test_walk_path_probability_reproduces_limiting_frequency():
     # Conditioned on the start action, the walk's chance of tracing a
     # schema's class path and terminal, rescaled by (action rollouts)/b
-    # against the action's out-weight, is the closed-form frequency.
+    # against the action's out-weight, is the succession product
+    # count(a -> c1)/b * prod count(c_{q-1} -> c_q)/occ(c_{q-1}) * 1/occ(ck),
+    # recounted here from the rollouts; the closed form gives it too.
     from rollmix.stats import limiting_frequency
 
     rng = random.Random(91)
     for _ in range(40):
         p = random_population(rng)
         g = build_digraph(p)
-        report = down_report(p)
+        order, occ = Counter(), Counter()
+        for r in p.rollouts:
+            order.update(zip((r.action,) + r.classes, r.classes))
+            occ.update(r.classes)
         for r in p.rollouts:
             h = Schema(r.action, r.classes, r.terminal)
+            product = Fraction(order[r.action, r.classes[0]], p.b) / occ[r.classes[-1]]
+            for prev, cur in zip(r.classes, r.classes[1:]):
+                product *= Fraction(order[prev, cur], occ[prev])
             out_weight = g.out_weight(action_node(r.action))
-            identity = path_probability(g, h) * Fraction(out_weight, p.b)
-            assert identity == limiting_frequency(p, h)
+            assert path_probability(g, h) * Fraction(out_weight, p.b) == product
+            assert limiting_frequency(p, h) == product
 
 
 def test_pinned_link_between_walk_and_frequency():

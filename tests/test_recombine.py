@@ -223,11 +223,16 @@ class TestOrbit:
     def test_orbit_mean_matches_brute_force_over_members(self):
         p = population_b()
         o = enumerate_orbit(p)
-        h = Schema("beta", (2, 1), "f2")
         from rollmix import schema_count
 
-        total = sum(schema_count(h, member) for member in o.iter_members())
-        assert orbit_frequency(o, h) == Fraction(total, o.size * p.b)
+        for h in (
+            Schema("beta", (2, 1), "f2"),
+            Schema("alpha", (1,), "#"),
+            Schema("alpha", (1, 2), "#"),
+            Schema("beta", (2, 1, 2), "#"),
+        ):
+            total = sum(schema_count(h, member) for member in o.iter_members())
+            assert orbit_frequency(o, h) == Fraction(total, o.size * p.b)
 
 
 class TestInflatedOrbit:

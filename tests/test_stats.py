@@ -1,7 +1,9 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 from rollmix import ROOT, Schema
+from rollmix.digraph import action_node, class_node, terminal_node
 from rollmix.fixtures import population_a, population_b, random_population
 from rollmix.recombine import apply_transform, generator_index
 from rollmix.stats import (
@@ -12,58 +14,78 @@ from rollmix.stats import (
 )
 
 
+def successions(p):
+    """(predecessor, successor) counts tallied straight from the rollouts;
+    the action opens each rollout and its terminal closes it."""
+    counts = Counter()
+    for r in p.rollouts:
+        path = [action_node(r.action), *map(class_node, r.classes), terminal_node(r.terminal)]
+        counts.update(zip(path, path[1:]))
+    return counts
+
+
 class TestDownReport:
     def test_fixture_a_counts(self):
-        r = down_report(population_a())
-        assert r.action_classes == {"alpha": frozenset({1}), "beta": frozenset({1})}
-        assert r.action_order == {("alpha", 1): 2, ("beta", 1): 1}
-        assert r.class_classes == {1: frozenset({2})}
-        assert r.order == {(1, 2): 3}
-        assert r.terminal_count(1) == 0
-        assert r.down(2) == frozenset({"f1", "f2", "f3"})
-        assert r.terminal_count(2) == 3
-        assert r.occ(1) == r.occ(2) == 3
+        g = down_report(population_a())
+        assert g.b == 3
+        assert g.successors(action_node("alpha")) == ([1], [])
+        assert g.edge_weight(action_node("alpha"), class_node(1)) == 2
+        assert g.edge_weight(action_node("beta"), class_node(1)) == 1
+        assert g.successors(class_node(1)) == ([2], [])
+        assert g.edge_weight(class_node(1), class_node(2)) == 3
+        assert g.successors(class_node(2)) == ([], ["f1", "f2", "f3"])
+        assert g.out_weight(class_node(1)) == g.out_weight(class_node(2)) == 3
 
     def test_fixture_b_counts(self):
-        r = down_report(population_b())
-        assert r.down(1) == frozenset({2, "f2"})
-        assert r.order_count(1, 2) == 1
-        assert r.terminal_count(1) == 1
-        assert r.down(2) == frozenset({1, "f1"})
-        assert r.order_count(2, 1) == 1
-        assert r.terminal_count(2) == 1
+        g = down_report(population_b())
+        assert g.successors(class_node(1)) == ([2], ["f2"])
+        assert g.edge_weight(class_node(1), class_node(2)) == 1
+        assert g.successors(class_node(2)) == ([1], ["f1"])
+        assert g.edge_weight(class_node(2), class_node(1)) == 1
 
     def test_absent_pairs_are_zero(self):
-        r = down_report(population_a())
-        assert r.order_count(2, 1) == 0
-        assert r.order_count(7, 1) == 0
-        assert r.action_order_count("alpha", 9) == 0
-        assert r.occ(9) == 0
+        g = down_report(population_a())
+        assert g.edge_weight(class_node(2), class_node(1)) == 0
+        assert g.edge_weight(class_node(7), class_node(1)) == 0
+        assert g.edge_weight(action_node("alpha"), class_node(9)) == 0
+        assert g.out_weight(class_node(9)) == 0
+        assert g.successors(class_node(9)) == ([], [])
 
     def test_occurrence_identity(self):
         rng = random.Random(21)
         for _ in range(100):
             p = random_population(rng, allow_stateless=True)
-            r = down_report(p)
+            g = down_report(p)
+            counts = successions(p)
             for cls in p.class_ids():
+                node = class_node(cls)
                 expected = sum(1 for _, _, s in p.states() if s.cls == cls)
-                outgoing = sum(n for (i, _), n in r.order.items() if i == cls)
-                assert r.occ(cls) == expected == outgoing + r.terminal_count(cls)
+                outgoing = sum(n for (src, _), n in counts.items() if src == node)
+                assert g.out_weight(node) == expected == outgoing
+                classes, terminals = g.successors(node)
+                assert outgoing == sum(counts[node, class_node(j)] for j in classes) + len(terminals)
 
     def test_terminal_counts_sum_to_population_size(self):
         rng = random.Random(22)
         for _ in range(100):
             p = random_population(rng)
-            r = down_report(p)
-            assert sum(r.terminal_count(i) for i in r.occurrences) == p.b
+            g = down_report(p)
+            assert sum(len(g.successors(class_node(i))[1]) for i in g.classes) == p.b
 
     def test_action_order_totals(self):
         rng = random.Random(23)
         for _ in range(50):
             p = random_population(rng, allow_stateless=True)
-            r = down_report(p)
-            stateless = sum(len(v) for v in r.action_terminals.values())
-            assert sum(r.action_order.values()) + stateless == p.b
+            g = down_report(p)
+            assert g.b == p.b
+            for action in g.actions:
+                node = action_node(action)
+                classes, terminals = g.successors(node)
+                starts = Counter(r.classes[0] for r in p.rollouts if r.action == action and r.classes)
+                assert {j: g.edge_weight(node, class_node(j)) for j in classes} == starts
+                stateless = sorted(r.terminal for r in p.rollouts if r.action == action and not r.classes)
+                assert terminals == stateless
+                assert sum(starts.values()) + len(stateless) == g.out_weight(node)
 
 
 class TestLimitingFrequency:
@@ -96,25 +118,25 @@ class TestLimitingFrequency:
         rng = random.Random(32)
         for _ in range(50):
             p = random_population(rng, allow_stateless=True)
-            report = down_report(p)
+            g = down_report(p)
             for action in {"alpha", "beta"}:
                 for classes in [(), (1,), (1, 2), (2, 2)]:
                     open_h = Schema(action, classes, "#")
-                    open_f = limiting_frequency_from_report(report, open_h)
+                    open_f = limiting_frequency_from_report(g, open_h)
                     assert 0 <= open_f <= 1
                     for terminal in p.terminals():
                         closed = Schema(action, classes, terminal)
-                        closed_f = limiting_frequency_from_report(report, closed)
+                        closed_f = limiting_frequency_from_report(g, closed)
                         assert 0 <= closed_f <= open_f
 
     def test_action_level_totals(self):
         rng = random.Random(33)
         for _ in range(50):
             p = random_population(rng)
-            report = down_report(p)
+            g = down_report(p)
             for action in {r.action for r in p.rollouts}:
                 total = sum(
-                    limiting_frequency_from_report(report, Schema(action, (i,), "#"))
+                    limiting_frequency_from_report(g, Schema(action, (i,), "#"))
                     for i in p.class_ids()
                 )
                 share = Fraction(sum(1 for r in p.rollouts if r.action == action), p.b)
@@ -162,9 +184,9 @@ def test_report_invariant_under_transform_sequences():
     rng = random.Random(51)
     for _ in range(40):
         p = random_population(rng)
-        reference = down_report(p)
+        reference = down_report(p).weights
         gens = generator_index(p)
         q = p
         for _ in range(60):
             q = apply_transform(q, gens[rng.randrange(len(gens))])
-        assert down_report(q) == reference
+        assert down_report(q).weights == reference
