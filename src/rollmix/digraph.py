@@ -71,10 +71,13 @@ class WeightedDigraph:
     actions: set[ActionLabel] = field(default_factory=set)
     classes: set[ClassId] = field(default_factory=set)
     terminals: set[TerminalLabel] = field(default_factory=set)
+    # Summed out-edge weight per node, kept by add_weight, the only writer.
+    _out: dict[Node, int] = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def _bump(self, src: Node, dst: Node) -> None:
-        self.weights.setdefault(src, {})
-        self.weights[src][dst] = self.weights[src].get(dst, 0) + 1
+    def add_weight(self, src: Node, dst: Node, weight: int = 1) -> None:
+        outs = self.weights.setdefault(src, {})
+        outs[dst] = outs.get(dst, 0) + weight
+        self._out[src] = self._out.get(src, 0) + weight
 
     def ingest(self, r: Rollout) -> None:
         """Add one rollout: every succession increments its edge by one."""
@@ -86,13 +89,13 @@ class WeightedDigraph:
         path.extend(class_node(s.cls) for s in r.states)
         path.append(terminal_node(r.terminal))
         for src, dst in zip(path, path[1:]):
-            self._bump(src, dst)
+            self.add_weight(src, dst)
 
     def out_edges(self, node: Node) -> dict[Node, int]:
         return self.weights.get(node, {})
 
     def out_weight(self, node: Node) -> int:
-        return sum(self.out_edges(node).values())
+        return self._out.get(node, 0)
 
     def edge_weight(self, src: Node, dst: Node) -> int:
         return self.out_edges(src).get(dst, 0)

@@ -250,5 +250,7 @@ def digraph_from_json(data: Any):
             raise ParseError(f"edge {entry!r} references an undeclared node")
         if weight < 1:
             raise ParseError(f"edge {entry!r} must have positive weight")
-        g.weights.setdefault(lookup[src], {})[lookup[dst]] = weight
+        if g.edge_weight(lookup[src], lookup[dst]):
+            raise ParseError(f"edge {entry!r} is listed twice")
+        g.add_weight(lookup[src], lookup[dst], weight)
     return g

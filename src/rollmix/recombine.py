@@ -14,6 +14,16 @@ independently sampled transformation per step is a symmetric, aperiodic
 Markov chain whose stationary distribution is uniform over the orbit of
 the initial population.  The orbit oracle enumerates that orbit exactly.
 
+The chain never lists its generators: ``GeneratorView`` decodes a
+generator from its index in (class, tag pair, kind) order, so set-up
+memory follows the number of states, not the number of tag pairs.
+``run_chain`` keeps the population in mutable slots, applies each move in
+place and updates schema counts by the change in the at most two slots a
+move rewrites.  It draws exactly what sampling one transform per step
+draws (``rng.random()`` against epsilon, then ``rng.randrange`` over the
+generators), so each seed keeps the trajectory of applying
+``apply_transform`` step by step.
+
 Enumeration exploits a factorisation: position swaps generate every
 relabelling of same-class tags, those relabellings act freely, and no
 schema can see a tag.  The orbit therefore splits into tag-erased
@@ -27,12 +37,13 @@ arrangements within reach of exact averaging.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations, permutations, product
-from math import factorial
+from itertools import accumulate, combinations, permutations, product
+from math import factorial, isqrt
 from typing import Iterator, Mapping, Sequence
 
 from .model import (
@@ -44,7 +55,7 @@ from .model import (
     TaggedState,
     WILDCARD,
     inflate,
-    schema_count,
+    match_parts,
 )
 from .stats import Frequency
 
@@ -139,24 +150,67 @@ def apply_transform(p: Population, t: Transform) -> Population:
     return apply_nu(p, t.cls, c, d)
 
 
-def generator_index(p: Population) -> list[Transform]:
-    """The identity plus every applicable (kind, class, tag pair) transform.
+def _unrank_pair(n: int, rank: int) -> tuple[int, int]:
+    """The pair at position ``rank`` of ``combinations(range(n), 2)``."""
+    # Pairs whose first index is below i number i(2n - i - 1)/2; the
+    # quadratic's root overshoots the first index by at most one.
+    i = (2 * n - 1 - isqrt((2 * n - 1) ** 2 - 8 * rank)) // 2
+    if i * (2 * n - i - 1) // 2 > rank:
+        i -= 1
+    return i, rank - i * (2 * n - i - 1) // 2 + i + 1
 
-    Applicability means both tagged states occur in the population; the
-    state multiset is preserved by every transform, so this index stays
-    valid along any chain started from p.
+
+@dataclass(frozen=True)
+class GeneratorView(Sequence[Transform]):
+    """Every (kind, class, tag pair) generator of a population, as a
+    read-only sequence decoded by index.
+
+    The order is: classes ascending; within a class, pairs of its sorted
+    tags in ``combinations`` order; within a pair, suffix crossover before
+    position swap.  Only the sorted classes, their sorted tags and the
+    running generator counts are stored, so memory follows the number of
+    states, not the number of tag pairs.  Applicability is fixed by the
+    state multiset, which every transform preserves, so the view built
+    from p stays valid along any chain started from p.
     """
-    by_class: dict[ClassId, list[StateTag]] = {}
-    for _, _, s in p.states():
-        by_class.setdefault(s.cls, []).append(s.tag)
-    out: list[Transform] = [IDENTITY]
-    for cls in sorted(by_class):
-        tags = sorted(by_class[cls])
-        for c, d in combinations(tags, 2):
-            pair = frozenset((c, d))
-            out.append(Transform(TransformKind.ONE_POINT, cls, pair))
-            out.append(Transform(TransformKind.SINGLE_SWAP, cls, pair))
-    return out
+
+    classes: tuple[ClassId, ...]
+    tags: tuple[tuple[StateTag, ...], ...]
+    ends: tuple[int, ...]  # generators of classes[:c + 1]
+
+    @classmethod
+    def from_population(cls, p: Population) -> "GeneratorView":
+        by_class: dict[ClassId, list[StateTag]] = {}
+        for _, _, s in p.states():
+            by_class.setdefault(s.cls, []).append(s.tag)
+        classes = tuple(sorted(by_class))
+        tags = tuple(tuple(sorted(by_class[c])) for c in classes)
+        return cls(classes, tags, tuple(accumulate(len(t) * (len(t) - 1) for t in tags)))
+
+    def __len__(self) -> int:
+        return self.ends[-1] if self.ends else 0
+
+    def decode(self, g: int) -> tuple[int, int, int, bool]:
+        """(class index, tag index, tag index, is suffix crossover) of
+        generator g, for 0 <= g < len(self)."""
+        c = bisect_right(self.ends, g)
+        local = g - self.ends[c - 1] if c else g
+        i, j = _unrank_pair(len(self.tags[c]), local >> 1)
+        return c, i, j, not local & 1
+
+    def __getitem__(self, g: int) -> Transform:  # type: ignore[override]
+        if g < 0:
+            g += len(self)
+        if not 0 <= g < len(self):
+            raise IndexError("generator index out of range")
+        c, i, j, chi = self.decode(g)
+        kind = TransformKind.ONE_POINT if chi else TransformKind.SINGLE_SWAP
+        return Transform(kind, self.classes[c], frozenset((self.tags[c][i], self.tags[c][j])))
+
+
+def generator_index(p: Population) -> list[Transform]:
+    """The identity followed by every generator of p, in GeneratorView order."""
+    return [IDENTITY, *GeneratorView.from_population(p)]
 
 
 @dataclass(frozen=True)
@@ -166,7 +220,7 @@ class TransformDistribution:
     construction from the initial population."""
 
     epsilon: float
-    generators: tuple[Transform, ...]
+    generators: GeneratorView
 
     def __post_init__(self) -> None:
         if not (0 < self.epsilon < 1):
@@ -174,8 +228,7 @@ class TransformDistribution:
 
     @classmethod
     def from_population(cls, p: Population, epsilon: float = 0.01) -> "TransformDistribution":
-        gens = tuple(t for t in generator_index(p) if t.kind is not TransformKind.IDENTITY)
-        return cls(epsilon, gens)
+        return cls(epsilon, GeneratorView.from_population(p))
 
     def sample(self, rng: random.Random) -> Transform:
         if not self.generators or rng.random() < self.epsilon:
@@ -216,21 +269,78 @@ def run_chain(
     Counts cover the steps+1 populations P^0..P^steps.  With visit_stride
     set, every stride-th population is tallied into ``visits`` (used by the
     stationarity check, which needs approximately independent samples).
+
+    Each step draws from ``rng`` exactly what ``mu.sample`` would draw, so
+    a seed fixes the same trajectory as applying sampled transforms one by
+    one.  The population is held as mutable slots of state ids, with the
+    slot and position of every id; a move rewrites at most two slots, and
+    only their schema matches are recomputed.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
     rng = random.Random(seed)
-    counts = {h: 0 for h in schemata}
+    gens, epsilon = mu.generators, mu.epsilon
+    n_gens = len(gens)
+
+    states = [s for r in p0.rollouts for s in r.states]  # state id -> state
+    actions = [r.action for r in p0.rollouts]
+    terminals = [r.terminal for r in p0.rollouts]
+    slots: list[list[int]] = []
+    slot_of: list[int] = []
+    pos_of: list[int] = []
+    for i, r in enumerate(p0.rollouts):
+        slots.append(list(range(len(slot_of), len(slot_of) + r.height)))
+        slot_of.extend([i] * r.height)
+        pos_of.extend(range(r.height))
+    ids = {s: n for n, s in enumerate(states)}
+    # Generator tag indices -> state ids; None for a state p0 lacks, whose
+    # moves leave the population fixed.
+    table = [
+        [ids.get(TaggedState(cls, tag)) for tag in tags] for cls, tags in zip(gens.classes, gens.tags)
+    ]
+
+    def fits(slot: int) -> list[bool]:
+        classes = tuple(states[x].cls for x in slots[slot])
+        return [match_parts(h, actions[slot], classes, terminals[slot]) for h in schemata]
+
+    matched = [fits(slot) for slot in range(len(slots))]
+    # Each total starts as if P^0 lasted all steps+1 populations; a change
+    # made by step t holds for the steps - t populations P^{t+1}..P^steps.
+    totals = [sum(m[q] for m in matched) * (steps + 1) for q in range(len(schemata))]
     visits: dict[Population, int] | None = {} if visit_stride else None
-    current = p0
+    random_, randrange, decode = rng.random, rng.randrange, gens.decode
     for t in range(steps + 1):
-        for h in counts:
-            counts[h] += schema_count(h, current)
         if visits is not None and t % visit_stride == 0:  # type: ignore[operator]
+            current = Population(
+                tuple(
+                    Rollout(a, tuple(states[x] for x in slot), f)
+                    for a, slot, f in zip(actions, slots, terminals)
+                )
+            )
             visits[current] = visits.get(current, 0) + 1
-        if t < steps:
-            current = apply_transform(current, mu.sample(rng))
-    return ChainTrace(p0, steps, seed, counts, visits, visit_stride)
+        if t == steps or not n_gens or random_() < epsilon:
+            continue
+        c, i, j, chi = decode(randrange(n_gens))
+        x, y = table[c][i], table[c][j]
+        if x is None or y is None:
+            continue
+        s1, k1, s2, k2 = slot_of[x], pos_of[x], slot_of[y], pos_of[y]
+        if not chi:
+            # Same-class states trade places: no slot's classes change.
+            slots[s1][k1], slots[s2][k2] = y, x
+            slot_of[x], pos_of[x], slot_of[y], pos_of[y] = s2, k2, s1, k1
+        elif s1 != s2:
+            one, two = slots[s1], slots[s2]
+            one[k1:], two[k2:] = two[k2:], one[k1:]
+            terminals[s1], terminals[s2] = terminals[s2], terminals[s1]
+            for s, slot, k in ((s1, one, k1), (s2, two, k2)):
+                for pos in range(k, len(slot)):
+                    slot_of[slot[pos]], pos_of[slot[pos]] = s, pos
+                new = fits(s)
+                for q, (before, after) in enumerate(zip(matched[s], new)):
+                    totals[q] += (after - before) * (steps - t)
+                matched[s] = new
+    return ChainTrace(p0, steps, seed, dict(zip(schemata, totals)), visits, visit_stride)
 
 
 # --- exact orbit enumeration -------------------------------------------------

@@ -175,7 +175,76 @@ class TestLimit:
         assert out == dump_canonical(expected)
 
 
+MIX_GOLDEN_SCHEMATA = [
+    "#", "alpha,#", "beta,#", "omega,#", "alpha,1,#", "alpha,1,2,#", "beta,2,#", "beta,1,2,#",
+    "beta,1,2,1,#", "alpha,1,2,f1", "alpha,1,2,f2", "alpha,1,f2", "beta,2,1,f2", "beta,1,2,f3",
+]
+
+# (total count, phi) per schema after 5,000 steps; the counts cover 5,001
+# populations, so the denominator is 5,001 b.
+GOLDEN_MIX = {
+    ("P_A", 11): {
+        "#": (15003, "1"), "alpha,#": (10002, "0.666666666667"),
+        "alpha,1,#": (10002, "0.666666666667"), "alpha,1,2,#": (10002, "0.666666666667"),
+        "alpha,1,2,f1": (3344, "0.222888755582"), "alpha,1,2,f2": (3289, "0.219222822102"),
+        "alpha,1,f2": (0, "0"), "beta,#": (5001, "0.333333333333"),
+        "beta,1,2,#": (5001, "0.333333333333"), "beta,1,2,1,#": (0, "0"),
+        "beta,1,2,f3": (1632, "0.108778244351"), "beta,2,#": (0, "0"),
+        "beta,2,1,f2": (0, "0"), "omega,#": (0, "0"),
+    },
+    ("P_A", 12): {
+        "#": (15003, "1"), "alpha,#": (10002, "0.666666666667"),
+        "alpha,1,#": (10002, "0.666666666667"), "alpha,1,2,#": (10002, "0.666666666667"),
+        "alpha,1,2,f1": (3424, "0.228221022462"), "alpha,1,2,f2": (3193, "0.212824101846"),
+        "alpha,1,f2": (0, "0"), "beta,#": (5001, "0.333333333333"),
+        "beta,1,2,#": (5001, "0.333333333333"), "beta,1,2,1,#": (0, "0"),
+        "beta,1,2,f3": (1616, "0.107711790975"), "beta,2,#": (0, "0"),
+        "beta,2,1,f2": (0, "0"), "omega,#": (0, "0"),
+    },
+    ("P_B", 11): {
+        "#": (10002, "1"), "alpha,#": (5001, "0.5"), "alpha,1,#": (5001, "0.5"),
+        "alpha,1,2,#": (3326, "0.332533493301"), "alpha,1,2,f1": (1685, "0.168466306739"),
+        "alpha,1,2,f2": (0, "0"), "alpha,1,f2": (1675, "0.167466506699"), "beta,#": (5001, "0.5"),
+        "beta,1,2,#": (0, "0"), "beta,1,2,1,#": (0, "0"), "beta,1,2,f3": (0, "0"),
+        "beta,2,#": (5001, "0.5"), "beta,2,1,f2": (1685, "0.168466306739"), "omega,#": (0, "0"),
+    },
+    ("P_B", 12): {
+        "#": (10002, "1"), "alpha,#": (5001, "0.5"), "alpha,1,#": (5001, "0.5"),
+        "alpha,1,2,#": (3381, "0.338032393521"), "alpha,1,2,f1": (1623, "0.162267546491"),
+        "alpha,1,2,f2": (0, "0"), "alpha,1,f2": (1620, "0.161967606479"), "beta,#": (5001, "0.5"),
+        "beta,1,2,#": (0, "0"), "beta,1,2,1,#": (0, "0"), "beta,1,2,f3": (0, "0"),
+        "beta,2,#": (5001, "0.5"), "beta,2,1,f2": (1623, "0.162267546491"), "omega,#": (0, "0"),
+    },
+}
+
+
 class TestMix:
+    @pytest.mark.parametrize("fixture,seed", sorted(GOLDEN_MIX))
+    def test_golden_report(self, capsys, fixture, seed):
+        # The whole report, byte for byte: a seed fixes the chain's
+        # trajectory, so its counts are pinned exactly.
+        pop = str(FIXTURES / f"{fixture}.json")
+        argv = ["mix", "--pop", pop, "--steps", "5000", "--seed", str(seed)]
+        for text in MIX_GOLDEN_SCHEMATA:
+            argv += ["--schema", text]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        b = {"P_A": 3, "P_B": 2}[fixture]
+        expected = {
+            "command": "mix",
+            "tool": {"name": "rollmix", "version": __version__},
+            "inputs": {"pop": pop, "steps": 5000, "seed": seed, "identity_prob": 0.01},
+            "outputs": {
+                "b": b,
+                "steps": 5000,
+                "schemata": {
+                    text: {"total_count": total, "denominator": b * 5001, "phi": phi}
+                    for text, (total, phi) in GOLDEN_MIX[fixture, seed].items()
+                },
+            },
+        }
+        assert out == dump_canonical(expected)
+
     def test_exact_invariant_schema(self, capsys):
         code, out, _ = run(
             capsys, "mix", "--pop", str(FIXTURES / "P_A.json"), "--steps", "400",

@@ -165,9 +165,9 @@ class TestExactExpectedPayoff:
         g = WeightedDigraph()
         g.actions.add("alpha")
         g.classes.update({1, 2})
-        g._bump(action_node("alpha"), class_node(1))
-        g._bump(class_node(1), class_node(2))
-        g._bump(class_node(2), class_node(1))
+        g.add_weight(action_node("alpha"), class_node(1))
+        g.add_weight(class_node(1), class_node(2))
+        g.add_weight(class_node(2), class_node(1))
         with pytest.raises(Unsolvable):
             exact_expected_payoff(g, "alpha", {})
 

@@ -188,8 +188,27 @@ class TestDigraphFiles:
         assert digraph_to_json(again) == data
         assert again.weights == g.weights
 
+    def test_loaded_graph_keeps_out_weights(self):
+        import random
+
+        from rollmix import build_digraph
+        from rollmix.fileio import digraph_from_json, digraph_to_json
+        from rollmix.fixtures import random_population
+
+        rng = random.Random(41)
+        for _ in range(100):
+            p = random_population(rng, max_b=8, max_height=4, allow_stateless=True)
+            g = build_digraph(p)
+            loaded = digraph_from_json(digraph_to_json(g))
+            assert loaded.b == g.b == p.b
+            for node, outs in g.weights.items():
+                assert g.out_weight(node) == loaded.out_weight(node) == sum(outs.values())
+
     def test_bad_edge_rejected(self):
         from rollmix.fileio import digraph_from_json
 
         with pytest.raises(ParseError):
             digraph_from_json({"nodes": {"actions": ["a"]}, "edges": [["a", "c9", 1]]})
+        nodes = {"actions": ["a"], "terminals": ["f"]}
+        with pytest.raises(ParseError, match="twice"):
+            digraph_from_json({"nodes": nodes, "edges": [["a", "f", 1], ["a", "f", 2]]})

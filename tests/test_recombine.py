@@ -1,5 +1,7 @@
 import random
+import tracemalloc
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -17,6 +19,7 @@ from rollmix.fixtures import population_a, population_b, random_population
 from rollmix.recombine import (
     IDENTITY,
     OrbitCapExceeded,
+    Transform,
     TransformDistribution,
     TransformKind,
     apply_chi,
@@ -27,8 +30,10 @@ from rollmix.recombine import (
     generator_index,
     orbit_frequency,
     population_shape,
+    _unrank_pair,
     run_chain,
 )
+from rollmix.model import schema_count
 from rollmix.stats import down_report
 
 
@@ -124,6 +129,62 @@ def test_involution_and_conservation_random():
             pairs += 1
 
 
+def _enumerated_generators(p):
+    """Every generator of p written out with combinations: classes
+    ascending, pairs of sorted tags, suffix crossover before swap."""
+    by_class = {}
+    for _, _, s in p.states():
+        by_class.setdefault(s.cls, []).append(s.tag)
+    out = []
+    for cls in sorted(by_class):
+        for c, d in combinations(sorted(by_class[cls]), 2):
+            out.append(Transform(TransformKind.ONE_POINT, cls, frozenset((c, d))))
+            out.append(Transform(TransformKind.SINGLE_SWAP, cls, frozenset((c, d))))
+    return out
+
+
+class TestGeneratorView:
+    def test_unranking_matches_enumeration(self):
+        rng = random.Random(17)
+        for _ in range(300):
+            p = random_population(
+                rng, max_b=rng.choice([2, 6, 12]), max_height=4,
+                max_classes=rng.choice([1, 2, 5]), allow_stateless=True,
+            )
+            gens = TransformDistribution.from_population(p).generators
+            expected = _enumerated_generators(p)
+            assert len(gens) == len(expected)
+            assert [gens[g] for g in range(len(gens))] == expected
+            assert list(gens) == expected
+            assert generator_index(p)[1:] == expected
+
+    def test_indices_behave_like_a_tuple(self):
+        rng = random.Random(18)
+        for _ in range(50):
+            p = random_population(rng, max_b=8, max_height=4, max_classes=3, allow_stateless=True)
+            gens = TransformDistribution.from_population(p).generators
+            expected = tuple(_enumerated_generators(p))
+            n = len(gens)
+            for g in (-n, -1, n, -n - 1, 0, n // 2):
+                if -n <= g < n:
+                    assert gens[g] == expected[g]
+                else:
+                    with pytest.raises(IndexError):
+                        gens[g]
+
+    def test_pair_unranking_is_combinations_order(self):
+        for n in range(2, 70):
+            assert [_unrank_pair(n, r) for r in range(n * (n - 1) // 2)] == list(
+                combinations(range(n), 2)
+            )
+        rng = random.Random(19)
+        for n in (2750, 10**6):
+            for rank in [0, n * (n - 1) // 2 - 1] + [rng.randrange(n * (n - 1) // 2) for _ in range(200)]:
+                i, j = _unrank_pair(n, rank)
+                assert 0 <= i < j < n
+                assert i * (2 * n - i - 1) // 2 + (j - i - 1) == rank
+
+
 class TestTransformDistribution:
     def test_epsilon_bounds(self):
         with pytest.raises(ValueError):
@@ -174,6 +235,85 @@ class TestRunChain:
         trace = run_chain(p, 0, mu, [h], seed=1)
         assert trace.schema_counts[h] == 1
         assert trace.phi(h) == Fraction(1, 2)
+
+
+def _reference_chain(p0, steps, mu, schemata, seed, visit_stride=None):
+    """The mixing chain written out one population at a time: apply a
+    sampled transform, recount every schema over the whole population."""
+    rng = random.Random(seed)
+    counts = {h: 0 for h in schemata}
+    visits = {} if visit_stride else None
+    current = p0
+    for t in range(steps + 1):
+        for h in counts:
+            counts[h] += schema_count(h, current)
+        if visits is not None and t % visit_stride == 0:
+            visits[current] = visits.get(current, 0) + 1
+        if t < steps:
+            current = apply_transform(current, mu.sample(rng))
+    return counts, visits
+
+
+def _probe_schemata(rng, p):
+    """Schemata of every kind for p: root, action-only, class prefixes,
+    exact terminal-tailed ones, misses, and a duplicate."""
+    out = [ROOT, Schema("omega", (), "#")]
+    for r in p.rollouts:
+        classes = r.classes
+        k = rng.randint(0, len(classes))
+        out.append(Schema(r.action, classes[:k], "#"))
+        out.append(Schema(r.action, classes, r.terminal))
+        out.append(Schema(r.action, classes[:k], "f1"))
+    out.append(rng.choice(out))
+    rng.shuffle(out)
+    return out
+
+
+def test_chain_matches_reference_chain():
+    rng = random.Random(23)
+    singleton = validate_population(
+        [Rollout("alpha", (state(1, "a"), state(2, "a")), "f1"),
+         Rollout("beta", (), "f2")]
+    )
+    fixed = [population_a(), population_b(), singleton]
+    for n in range(240):
+        if n < len(fixed):
+            p = fixed[n]
+        else:
+            p = random_population(
+                rng, max_b=rng.choice([1, 3, 6, 10]), max_height=rng.choice([1, 3, 5]),
+                max_classes=rng.choice([1, 2, 4, 8]), allow_stateless=n % 2 == 0,
+            )
+        epsilon = rng.choice([0.01, 0.3, 0.9])
+        seed = rng.randrange(2**31)
+        steps = rng.choice([0, 1, 40, 300])
+        stride = rng.choice([None, 1, 7])
+        schemata = _probe_schemata(rng, p)
+        # Now and then the generators come from another population: moves
+        # naming a state p lacks leave it fixed.
+        source = random_population(rng, max_b=6, max_classes=4) if n % 10 == 9 else p
+        mu = TransformDistribution.from_population(source, epsilon)
+        trace = run_chain(p, steps, mu, schemata, seed, visit_stride=stride)
+        counts, visits = _reference_chain(p, steps, mu, schemata, seed, stride)
+        assert list(trace.schema_counts.items()) == list(counts.items())
+        assert trace.visits == visits
+        if visits is not None:
+            assert list(trace.visits) == list(visits)
+
+
+def test_chain_memory_follows_states_not_tag_pairs():
+    # b=2000 with four classes: about 5,000 states and millions of tag pairs.
+    p = random_population(random.Random(29), min_b=2000, max_b=2000, max_height=5, max_classes=4)
+    schemata = [ROOT, Schema("alpha", (1,), "#"), Schema("beta", (2, 3), "#")]
+    tracemalloc.start()
+    try:
+        mu = TransformDistribution.from_population(p)
+        run_chain(p, 2000, mu, schemata, seed=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(mu.generators) >= 4_000_000
+    assert peak < 4 * 2**20
 
 
 class TestOrbit:
