@@ -42,7 +42,6 @@ from .model import (
 from .stats import down_report, frequency_children, limiting_frequency
 from .recombine import (
     ChainTrace,
-    InflatedOrbit,
     OrbitCapExceeded,
     OrbitSet,
     Transform,
@@ -77,6 +76,5 @@ from .fileio import (
     format_schema,
     load_population,
     parse_schema,
-    roundtrip_population,
     save_population,
 )

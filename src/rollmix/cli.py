@@ -241,6 +241,8 @@ def _cmd_orbit(args: argparse.Namespace) -> int:
 def _cmd_eval(args: argparse.Namespace) -> int:
     if args.walks < 0:
         raise UsageError("--walks must be >= 0")
+    if args.workers < 1:
+        raise UsageError("--workers must be >= 1")
     population, payoffs = load_population(args.pop)
     graph = dg.build_digraph(population)
     missing = graph.terminals - set(payoffs)

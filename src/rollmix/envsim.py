@@ -248,56 +248,24 @@ def sim_config_to_json(cfg: SimConfig) -> dict:
     }
 
 
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def sim_config_from_json(data: dict) -> SimConfig:
+    integers = ("n_states", "n_observations", "n_actions", "max_branching", "depth_cap", "rollouts", "seed")
+    for name in integers:
+        if not _is_int(data[name]):
+            raise InvalidConfig(f"{name} must be an integer, got {data[name]!r}")
+    payoff_range = data["payoff_range"]
+    if not (isinstance(payoff_range, list) and len(payoff_range) == 2 and all(map(_is_int, payoff_range))):
+        raise InvalidConfig(f"payoff_range must be two integers, got {payoff_range!r}")
+    try:
+        cap_payoff = Fraction(data.get("cap_payoff", 0))
+    except (TypeError, ValueError, ZeroDivisionError):
+        raise InvalidConfig(f"cap_payoff must be a rational, got {data.get('cap_payoff')!r}") from None
     return SimConfig(
-        n_states=data["n_states"],
-        n_observations=data["n_observations"],
-        n_actions=data["n_actions"],
-        max_branching=data["max_branching"],
-        depth_cap=data["depth_cap"],
-        payoff_range=tuple(data["payoff_range"]),
-        rollouts=data["rollouts"],
-        seed=data["seed"],
-        cap_payoff=Fraction(data.get("cap_payoff", 0)),
-    )
-
-
-def env_to_json(env: EnvModel) -> dict:
-    return {
-        "n_states": env.n_states,
-        "observation": list(env.observation),
-        "class_actions": {str(cls): list(acts) for cls, acts in sorted(env.class_actions.items())},
-        "transitions": {
-            f"{s}:{a}": {
-                "successors": list(tr.successors),
-                "probabilities": list(tr.probabilities),
-                "termination": tr.termination,
-            }
-            for (s, a), tr in sorted(env.transitions.items())
-        },
-        "payoff_range": list(env.payoff_range),
-        "cap_payoff": str(env.cap_payoff),
-        "depth_cap": env.depth_cap,
-        "seed": env.seed,
-        "root_state": env.root_state,
-    }
-
-
-def env_from_json(data: dict) -> EnvModel:
-    transitions = {}
-    for key, tr in data["transitions"].items():
-        state_text, _, action = key.partition(":")
-        transitions[(int(state_text), action)] = Transition(
-            tuple(tr["successors"]), tuple(tr["probabilities"]), tr["termination"]
-        )
-    return EnvModel(
-        n_states=data["n_states"],
-        observation=tuple(data["observation"]),
-        class_actions={int(cls): tuple(acts) for cls, acts in data["class_actions"].items()},
-        transitions=transitions,
-        payoff_range=tuple(data["payoff_range"]),
-        cap_payoff=Fraction(data["cap_payoff"]),
-        depth_cap=data["depth_cap"],
-        seed=data["seed"],
-        root_state=data.get("root_state", 0),
+        **{name: data[name] for name in integers},
+        payoff_range=tuple(payoff_range),
+        cap_payoff=cap_payoff,
     )

@@ -147,9 +147,10 @@ def population_from_json(data: Any) -> tuple[Population, PayoffMap]:
             rollouts.append(Rollout(action, parsed, terminal))
         except ValueError as exc:
             raise ParseError(f"{where}: {exc}") from None
-    payoffs: PayoffMap = {}
-    for name, value in (data.get("payoffs") or {}).items():
-        payoffs[name] = parse_rational(value)
+    raw_payoffs = data.get("payoffs", {})
+    if not isinstance(raw_payoffs, dict):
+        raise ParseError("'payoffs' must be an object")
+    payoffs = {name: parse_rational(value) for name, value in raw_payoffs.items()}
     population = validate_population(rollouts)
     return population, payoffs
 
@@ -181,7 +182,7 @@ def save_population(
 
 
 def load_population(path: str | Path) -> tuple[Population, PayoffMap]:
-    """Parse and validate a population file; see roundtrip_population."""
+    """Parse and validate a population file."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -191,11 +192,6 @@ def load_population(path: str | Path) -> tuple[Population, PayoffMap]:
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: {exc}") from None
     return population_from_json(data)
-
-
-def roundtrip_population(path: str | Path) -> Population:
-    """Load a population file; parse -> serialise -> parse is the identity."""
-    return load_population(path)[0]
 
 
 # --- digraph files --------------------------------------------------------------

@@ -32,12 +32,23 @@ class i), and only suffix-crossover moves connect distinct classes.  The
 oracle walks the canonical classes and carries the fiber size exactly,
 which keeps populations with astronomically many reachable tag
 arrangements within reach of exact averaging.
+
+It also quotients by slot order.  A suffix crossover never changes a
+slot's action or first class, and the one at the first states of two
+slots that share both swaps those slots whole, so the orbit holds every
+reordering of the slots within such a group, and no schema can see slot
+order.  The search therefore keeps one sorted shape per reordering class
+together with its weight, the number of tag-erased classes it stands for;
+``n_classes`` is the sum of the weights.  The inflated-population oracle
+is the same search from a start of repeated slots, with each copy family
+of terminals as one token.
 """
 
 from __future__ import annotations
 
 import random
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -345,17 +356,12 @@ def run_chain(
 
 # --- exact orbit enumeration -------------------------------------------------
 
-# A canonical class ("shape") erases tags: the positions tags occupy are all
-# reachable relabelings of one another, so the orbit splits into equal-size
-# fibers over these shapes and schema statistics only see the shape.  Shapes
-# are stored integer-encoded for speed: one tuple per slot,
-# (action id, terminal token, class, class, ...).
+# A shape erases tags: one integer-encoded tuple per slot, (action id,
+# terminal token, class, class, ...).  A canonical shape also forgets the
+# slot order: its slots are sorted.  No move changes a slot's group (see
+# _group), and the slots of a group can be put in any order, so a
+# canonical shape stands for ``_weight`` shapes of the orbit.
 EncodedShape = tuple[tuple[int, ...], ...]
-Shape = tuple[tuple[str, tuple[int, ...], str], ...]
-
-
-def population_shape(p: Population) -> Shape:
-    return tuple((r.action, r.classes, r.terminal) for r in p.rollouts)
 
 
 def _suffix_move_images(shape: EncodedShape) -> Iterator[EncodedShape]:
@@ -381,23 +387,53 @@ def _suffix_move_images(shape: EncodedShape) -> Iterator[EncodedShape]:
             yield tuple(new)
 
 
-def _bfs_shapes(start: EncodedShape, fiber: int, cap: int) -> list[EncodedShape]:
-    seen: set[EncodedShape] = {start}
-    frontier = [start]
-    while frontier:
-        next_frontier: list[EncodedShape] = []
-        for shape in frontier:
-            for image in _suffix_move_images(shape):
-                if image not in seen:
-                    seen.add(image)
-                    if len(seen) * fiber > cap:
-                        raise OrbitCapExceeded(
-                            f"orbit size exceeds cap {cap} "
-                            f"({len(seen)} canonical classes of {fiber} populations each)"
-                        )
-                    next_frontier.append(image)
-        frontier = next_frontier
-    return sorted(seen)
+def _group(slot: tuple[int, ...]) -> tuple:
+    """What no move changes in a slot: its action and first class.
+
+    Suffix crossover keeps both, and the one at the first states of two
+    slots of one group swaps those slots whole.  A stateless slot never
+    moves, so it is a group of its own.
+    """
+    return (slot[0], slot[2]) if len(slot) > 2 else (slot,)
+
+
+def _weight(shape: EncodedShape) -> int:
+    """Distinct slot orders of a shape that keep every slot in its group:
+    prod over groups of |g|!, over the factorials of repeated slots."""
+    weight = 1
+    for n in Counter(map(_group, shape)).values():
+        weight *= factorial(n)
+    for n in Counter(shape).values():
+        weight //= factorial(n)
+    return weight
+
+
+def _canonical_shapes(start: EncodedShape, fiber: int, cap: int) -> dict[EncodedShape, int]:
+    """Breadth-first closure of start under suffix moves, as canonical
+    shapes and their weights.
+
+    Raises OrbitCapExceeded as soon as the weights found so far times the
+    fiber exceed ``cap``, so it trips exactly when the orbit is too large.
+    """
+    weights: dict[EncodedShape, int] = {}
+    total = 0
+    images: Iterator[EncodedShape] = iter((start,))
+    while True:
+        frontier = []
+        for image in images:
+            shape = tuple(sorted(image))
+            if shape not in weights:
+                weights[shape] = _weight(shape)
+                total += weights[shape]
+                if total * fiber > cap:
+                    raise OrbitCapExceeded(
+                        f"orbit size exceeds cap {cap} "
+                        f"({total} tag-erased classes found so far, {fiber} populations each)"
+                    )
+                frontier.append(shape)
+        if not frontier:
+            return weights
+        images = (image for shape in frontier for image in _suffix_move_images(shape))
 
 
 def _class_fiber(p: Population) -> int:
@@ -421,161 +457,183 @@ def _encode_start(p: Population) -> tuple[EncodedShape, tuple[str, ...], tuple[s
     return start, action_names, terminal_names
 
 
-def _shape_frequency(
-    encoded: Sequence[EncodedShape],
-    action_names: tuple[str, ...],
-    terminal_names: tuple[str, ...],
-    b: int,
-    h: Schema,
-) -> Frequency:
-    """Mean of (slots fitting the schema)/b over integer-encoded shapes."""
+def _shape_frequency(o: OrbitSet, h: Schema) -> Frequency:
+    """Weighted mean of (slots fitting the schema)/b over canonical shapes."""
     if h.is_root:
         return Fraction(1)
-    if h.action not in action_names:
+    if h.action not in o.action_names:
         return Fraction(0)
-    action_id = action_names.index(h.action)
+    action_id = o.action_names.index(h.action)
     if h.wildcard_tail:
         tail_token = None
-    elif h.tail in terminal_names:
-        tail_token = terminal_names.index(h.tail)
+    elif h.tail in o.terminal_names:
+        tail_token = o.terminal_names.index(h.tail)
     else:
         return Fraction(0)
     k = len(h.classes)
     total = 0
-    for shape in encoded:
+    for shape, weight in zip(o.encoded, o.weights):
+        count = 0
         for slot in shape:
             if slot[0] != action_id:
                 continue
             if tail_token is None:
-                total += slot[2 : 2 + k] == h.classes
+                count += slot[2 : 2 + k] == h.classes
             else:
-                total += slot[1] == tail_token and slot[2:] == h.classes
-    return Fraction(total, len(encoded) * b)
+                count += slot[1] == tail_token and slot[2:] == h.classes
+        total += weight * count
+    return Fraction(total, o.n_classes * o.b)
 
 
 @dataclass(frozen=True)
 class OrbitSet:
-    """The reachable set of populations, held as canonical classes.
+    """The reachable set of populations, held as weighted canonical shapes.
 
-    ``size`` is the exact number of reachable populations: canonical
-    classes times the fiber size (every relabelling of same-class tags is
-    reachable, distinct, and invisible to schema statistics).
+    ``n_classes`` counts the tag-erased classes, the sum of the weights,
+    and ``size = n_classes * fiber`` is the exact number of reachable
+    populations: every relabelling of same-class tags is reachable,
+    distinct, and invisible to schema statistics.
+
+    A terminal token may stand for several terminal labels, all
+    interchangeable: ``enumerate_inflated_orbit`` gives the copies of a
+    base terminal one token, and the fiber counts their relabellings.
     """
 
     initial: Population
-    encoded: tuple[EncodedShape, ...]
+    start: EncodedShape  # the initial population, slot by slot
+    encoded: tuple[EncodedShape, ...]  # canonical shapes, ascending
+    weights: tuple[int, ...]
     action_names: tuple[str, ...]
-    terminal_names: tuple[str, ...]
+    terminal_names: tuple[str, ...]  # by token; a copy family's base label
     fiber: int
-    size: int
+    n_classes: int
 
     @property
     def b(self) -> int:
         return self.initial.b
 
     @property
-    def n_classes(self) -> int:
-        return len(self.encoded)
+    def size(self) -> int:
+        return self.n_classes * self.fiber
+
+    def family_frequency(self, h: Schema) -> Frequency:
+        """Exact orbit mean of (rollouts fitting h)/b, where h's terminal
+        stands for every label of its token (its whole copy family)."""
+        return _shape_frequency(self, h)
 
     @cached_property
-    def shapes(self) -> tuple[Shape, ...]:
-        """Readable canonical classes (decode on demand; small orbits only)."""
-        return tuple(
-            tuple(
-                (self.action_names[slot[0]], slot[2:], self.terminal_names[slot[1]])
-                for slot in shape
-            )
-            for shape in self.encoded
-        )
-
-    @cached_property
-    def _lookup(self) -> tuple[dict[str, int], dict[str, int], frozenset[EncodedShape]]:
+    def _lookup(self) -> tuple[dict[str, int], dict[str, int], list[tuple], frozenset[EncodedShape]]:
         actions = {name: i for i, name in enumerate(self.action_names)}
-        terminals = {name: i for i, name in enumerate(self.terminal_names)}
-        return actions, terminals, frozenset(self.encoded)
+        terminals = {label: slot[1] for slot, label in zip(self.start, self.initial.terminals())}
+        return actions, terminals, [_group(slot) for slot in self.start], frozenset(self.encoded)
 
     def contains(self, p: Population) -> bool:
-        actions, terminals, members = self._lookup
+        actions, terminals, groups, members = self._lookup
         try:
-            encoded = tuple(
-                (actions[r.action], terminals[r.terminal]) + r.classes for r in p.rollouts
-            )
+            encoded = [(actions[r.action], terminals[r.terminal]) + r.classes for r in p.rollouts]
         except KeyError:
             return False
-        return encoded in members
+        return [_group(slot) for slot in encoded] == groups and tuple(sorted(encoded)) in members
 
     def iter_members(self, limit: int = 100_000) -> Iterator[Population]:
-        """Materialise every reachable population (small orbits only)."""
+        """Materialise every reachable population (small orbits only).
+
+        Each canonical shape is laid out in every slot order that keeps
+        each group on its own positions; each layout then takes every
+        assignment of tags to same-class states and of labels to
+        same-token terminals.  Symbols are handed out in slot order.
+        """
         if self.size > limit:
             raise OrbitCapExceeded(f"orbit has {self.size} members, limit {limit}")
-        tags_by_class: dict[ClassId, list[StateTag]] = {}
+        groups = [_group(slot) for slot in self.start]
+        distinct = list(dict.fromkeys(groups))
+        layouts: set[EncodedShape] = set()
+        for shape in self.encoded:
+            orders = [set(permutations([s for s in shape if _group(s) == g])) for g in distinct]
+            for arrangement in product(*orders):
+                take = {g: iter(order) for g, order in zip(distinct, arrangement)}
+                layouts.add(tuple(next(take[g]) for g in groups))
+        # Interchangeable symbols: (0, class) -> tags, (1, token) -> labels.
+        symbols: dict[tuple[int, int], list] = {}
         for _, _, s in self.initial.states():
-            tags_by_class.setdefault(s.cls, []).append(s.tag)
-        for tags in tags_by_class.values():
-            tags.sort()
-        classes_sorted = sorted(tags_by_class)
-        for shape in self.shapes:
-            slots: list[list[tuple[int, int]]] = []  # (class, per-class position)
-            counters = {cls: 0 for cls in classes_sorted}
-            for _, classes, _ in shape:
-                entries = []
-                for cls in classes:
-                    entries.append((cls, counters[cls]))
-                    counters[cls] += 1
-                slots.append(entries)
-            perms_per_class = [permutations(tags_by_class[cls]) for cls in classes_sorted]
-            for assignment in product(*perms_per_class):
-                chosen = dict(zip(classes_sorted, assignment))
-                rollouts = []
-                for (action, _, terminal), entries in zip(shape, slots):
-                    states = tuple(
-                        TaggedState(cls, chosen[cls][pos]) for cls, pos in entries
+            symbols.setdefault((0, s.cls), []).append(s.tag)
+        for slot, label in zip(self.start, self.initial.terminals()):
+            symbols.setdefault((1, slot[1]), []).append(label)
+        keys = sorted(symbols)
+        for shape in sorted(layouts):
+            for assignment in product(*(permutations(sorted(symbols[k])) for k in keys)):
+                take = {k: iter(order) for k, order in zip(keys, assignment)}
+                yield Population(
+                    tuple(
+                        Rollout(
+                            self.action_names[slot[0]],
+                            tuple(TaggedState(cls, next(take[0, cls])) for cls in slot[2:]),
+                            next(take[1, slot[1]]),
+                        )
+                        for slot in shape
                     )
-                    rollouts.append(Rollout(action, states, terminal))
-                yield Population(tuple(rollouts))
+                )
+
+
+# The inflated orbit is the same weighted orbit, started from copies.
+InflatedOrbit = OrbitSet
+
+
+def _orbit(
+    initial: Population,
+    start: EncodedShape,
+    action_names: tuple[str, ...],
+    terminal_names: tuple[str, ...],
+    cap: int,
+) -> OrbitSet:
+    fiber = _class_fiber(initial)
+    for n in Counter(slot[1] for slot in start).values():
+        fiber *= factorial(n)  # relabellings of a token's terminals
+    if fiber > cap:
+        raise OrbitCapExceeded(f"orbit size is at least {fiber}, cap {cap}")
+    weights = _canonical_shapes(start, fiber, cap)
+    encoded = tuple(sorted(weights))
+    return OrbitSet(
+        initial,
+        start,
+        encoded,
+        tuple(weights[shape] for shape in encoded),
+        action_names,
+        terminal_names,
+        fiber,
+        sum(weights.values()),
+    )
 
 
 def enumerate_orbit(p0: Population, cap: int = 10**6) -> OrbitSet:
     """Breadth-first closure of the initial population under all generators.
 
     Raises OrbitCapExceeded as soon as the exact orbit size would exceed
-    ``cap``.  Memory grows only with the number of canonical classes.
+    ``cap``.  Memory grows only with the number of canonical shapes.
     """
-    fiber = _class_fiber(p0)
-    if fiber > cap:
-        raise OrbitCapExceeded(f"orbit size is at least {fiber}, cap {cap}")
-    start, action_names, terminal_names = _encode_start(p0)
-    shapes = _bfs_shapes(start, fiber, cap)
-    return OrbitSet(
-        p0,
-        tuple(shapes),
-        action_names,
-        terminal_names,
-        fiber,
-        len(shapes) * fiber,
-    )
+    return _orbit(p0, *_encode_start(p0), cap)
 
 
 def orbit_frequency(o: OrbitSet, h: Schema) -> Frequency:
     """Exact mean of (matching rollouts)/b over the whole orbit."""
-    return _shape_frequency(o.encoded, o.action_names, o.terminal_names, o.b, h)
+    return _shape_frequency(o, h)
 
 
 def fitted_schema_counts(o: OrbitSet, max_height: int) -> dict[Schema, int]:
-    """Total match counts, over all canonical classes, of every schema that
-    at least one reachable rollout fits, up to the given class-prefix
+    """Total match counts, over all tag-erased classes, of every schema
+    that at least one reachable rollout fits, up to the given class-prefix
     length.  Terminal-tailed schemata are included when the fitting
     rollout is short enough to be pinned exactly."""
     totals: dict[tuple, int] = {}
-    for shape in o.encoded:
+    for shape, weight in zip(o.encoded, o.weights):
         for slot in shape:
             classes = slot[2:]
             for k in range(min(max_height, len(classes)) + 1):
                 key = (slot[0], classes[:k], None)
-                totals[key] = totals.get(key, 0) + 1
+                totals[key] = totals.get(key, 0) + weight
             if len(classes) <= max_height:
                 key = (slot[0], classes, slot[1])
-                totals[key] = totals.get(key, 0) + 1
+                totals[key] = totals.get(key, 0) + weight
     out: dict[Schema, int] = {}
     for (action_id, classes, tail_token), count in totals.items():
         tail = WILDCARD if tail_token is None else o.terminal_names[tail_token]
@@ -583,46 +641,16 @@ def fitted_schema_counts(o: OrbitSet, max_height: int) -> dict[Schema, int]:
     return out
 
 
-# --- inflated-orbit oracle with the copy-family quotient ----------------------
-
-
-@dataclass(frozen=True)
-class InflatedOrbit:
-    """Exact orbit data for an inflated population, quotiented by copies.
+def enumerate_inflated_orbit(p0: Population, m: int, cap: int = 10**6) -> OrbitSet:
+    """Exact orbit of inflate(p0, m), canonical in tags and copy families.
 
     Inflation copies carry fresh terminal labels, but every relabelling
     within one copy family is reachable (copies share their class
     sequences, so a last-state suffix swap plus a free tag relabelling
     exchanges any two family terminals) and acts freely, exactly like tag
-    relabellings.  Collapsing each family to one token therefore keeps
-    orbit averages exact while shrinking the class count by a factor of
-    up to (m!)^b.  A schema of the base population is transported to the
-    inflated one by letting its terminal stand for the whole copy family.
-    """
-
-    base: Population
-    factor: int
-    encoded: tuple[EncodedShape, ...]
-    action_names: tuple[str, ...]
-    family_names: tuple[str, ...]  # base terminal labels, token-indexed
-    fiber: int
-    size: int
-
-    @property
-    def b(self) -> int:
-        return self.base.b * self.factor
-
-    @property
-    def n_classes(self) -> int:
-        return len(self.encoded)
-
-    def family_frequency(self, h: Schema) -> Frequency:
-        """Exact orbit mean of (rollouts fitting the transported schema)/b."""
-        return _shape_frequency(self.encoded, self.action_names, self.family_names, self.b, h)
-
-
-def enumerate_inflated_orbit(p0: Population, m: int, cap: int = 10**6) -> InflatedOrbit:
-    """Exact orbit of inflate(p0, m), canonical in tags and copy families.
+    relabellings.  So the copies of a base terminal share one token, and a
+    schema of the base population is transported to the inflated one by
+    letting its terminal stand for the whole copy family.
 
     Requires every rollout of p0 to have at least one state: a stateless
     rollout's terminal can never move, so its copies would not be
@@ -630,20 +658,8 @@ def enumerate_inflated_orbit(p0: Population, m: int, cap: int = 10**6) -> Inflat
     """
     if any(r.height == 0 for r in p0.rollouts):
         raise ValueError("family quotient needs every rollout to carry a state")
-    fiber = _class_fiber(inflate(p0, m)) * factorial(m) ** p0.b
-    if fiber > cap:
-        raise OrbitCapExceeded(f"orbit size is at least {fiber}, cap {cap}")
     base, action_names, family_names = _encode_start(p0)
     # Slot i*m + c of the inflated population is copy c of base rollout i,
     # which shares its action, classes and terminal family.
     start = tuple(slot for slot in base for _ in range(m))
-    shapes = _bfs_shapes(start, fiber, cap)
-    return InflatedOrbit(
-        p0,
-        m,
-        tuple(shapes),
-        action_names,
-        family_names,
-        fiber,
-        len(shapes) * fiber,
-    )
+    return _orbit(inflate(p0, m), start, action_names, family_names, cap)

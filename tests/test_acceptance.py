@@ -9,6 +9,8 @@ from fractions import Fraction
 
 from rollmix import Schema
 from rollmix import verify
+from rollmix.fixtures import population_b
+from rollmix.recombine import enumerate_inflated_orbit
 
 
 def report(result, budget_s):
@@ -40,6 +42,19 @@ def test_criterion_05_uniform_stationarity(stationarity_run):
 
 def test_criterion_06_inflation_trend():
     report(verify.check_inflation_trend(max_factor=4), 300)
+
+
+def test_inflation_gap_closed_form():
+    # Exact finite-population values behind criterion 06.  Each equals
+    # 1/8 + 1/(24(2m-1)^2): an observed fit to the Geiringer limit 1/8,
+    # not a proven law.
+    target = Schema("alpha", (1, 2), "f1")
+    expected = [Fraction(1, 6), Fraction(7, 54), Fraction(19, 150),
+                Fraction(37, 294), Fraction(61, 486), Fraction(91, 726)]
+    for m, value in enumerate(expected, 1):
+        assert value == Fraction(1, 8) + Fraction(1, 24 * (2 * m - 1) ** 2)
+        orbit = enumerate_inflated_orbit(population_b(), m, cap=10**40)
+        assert orbit.family_frequency(target) == value
 
 
 def test_criterion_07_evaluator_vs_oracle():

@@ -333,6 +333,49 @@ class TestGen:
         assert code == 2
 
 
+GEN_CONFIG = {
+    "n_states": 5, "n_observations": 2, "n_actions": 2, "max_branching": 2,
+    "depth_cap": 3, "payoff_range": [0, 2], "rollouts": 4, "seed": 9,
+}
+
+
+@pytest.mark.parametrize(
+    "case, expected",
+    [
+        ({"payoff_range": [0]}, 2),
+        ({"payoff_range": ["a", "b"]}, 2),
+        ({"payoff_range": [0.5, 2.5]}, 2),
+        ({"n_states": 6.0}, 2),
+        ({"rollouts": True}, 2),
+        ({"seed": False}, 2),
+        ({"cap_payoff": "1/0"}, 2),
+        ({"cap_payoff": "x"}, 2),
+        ("payoffs", 2),
+        (["--workers", "0"], 1),
+        (["--workers", "-3"], 1),
+    ],
+    ids=repr,
+)
+def test_bad_input_exits_with_one_line_message(capsys, tmp_path, case, expected):
+    if isinstance(case, dict):
+        cfg = tmp_path / "env.json"
+        cfg.write_text(json.dumps({**GEN_CONFIG, **case}), encoding="utf-8")
+        argv = ["gen", "--env", str(cfg), "--seed", "1"]
+    elif case == "payoffs":
+        pop = tmp_path / "pop.json"
+        pop.write_text(
+            '{"rollouts": [{"action": "a", "states": [[1, "a", 0]], "terminal": "f"}], "payoffs": [1]}',
+            encoding="utf-8",
+        )
+        argv = ["limit", "--pop", str(pop), "--schema", "#"]
+    else:
+        argv = ["eval", "--pop", str(FIXTURES / "P_B.json"), "--walks", "10", "--seed", "1", *case]
+    code, _, err = run(capsys, *argv)  # an escaping exception fails the test
+    assert code == expected
+    assert len(err.splitlines()) == 1
+    assert err.startswith("rollmix: usage error:" if expected == 1 else "rollmix: invalid input:")
+
+
 class TestVerifySubcommand:
     def test_failure_exits_four(self, capsys, monkeypatch):
         import rollmix.verify as verify_module

@@ -16,7 +16,6 @@ from rollmix.fileio import (
     parse_schema,
     population_to_json,
     read_schemata_file,
-    roundtrip_population,
     save_population,
 )
 from rollmix.fixtures import payoffs_a, population_a, population_b
@@ -106,9 +105,6 @@ class TestPopulationFiles:
         out = tmp_path / "copy.json"
         save_population(out, p, payoffs)
         assert out.read_bytes() == src
-
-    def test_roundtrip_population_helper(self):
-        assert roundtrip_population(FIXTURES / "P_B.json") == population_b()
 
     def test_truncated_file(self, tmp_path):
         f = tmp_path / "bad.json"

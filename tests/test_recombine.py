@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -29,11 +30,13 @@ from rollmix.recombine import (
     enumerate_orbit,
     generator_index,
     orbit_frequency,
-    population_shape,
+    _class_fiber,
+    _encode_start,
+    _suffix_move_images,
     _unrank_pair,
     run_chain,
 )
-from rollmix.model import schema_count
+from rollmix.model import match_parts, schema_count
 from rollmix.stats import down_report
 
 
@@ -341,6 +344,8 @@ class TestOrbit:
     def test_initial_population_is_member(self):
         o = enumerate_orbit(population_b())
         assert o.contains(population_b())
+        # Same rollouts in another slot order: no move reorders actions.
+        assert not o.contains(Population(population_b().rollouts[::-1]))
 
     def test_orbit_closed_under_generators_and_members_valid(self):
         p = population_b()
@@ -408,6 +413,18 @@ class TestInflatedOrbit:
         with pytest.raises(OrbitCapExceeded):
             enumerate_inflated_orbit(population_b(), 4, cap=1000)
 
+    def test_members_are_the_plain_orbit_of_the_inflated_population(self):
+        p = validate_population(
+            [Rollout("alpha", (state(1, "a"),), "f1"),
+             Rollout("beta", (state(1, "b"), state(2, "a")), "f2")]
+        )
+        for m in (1, 2):
+            quotient = enumerate_inflated_orbit(p, m, cap=10**9)
+            members = list(quotient.iter_members())
+            assert len(members) == quotient.size == len(set(members))
+            assert set(members) == set(enumerate_orbit(inflate(p, m), cap=10**9).iter_members())
+            assert all(quotient.contains(member) for member in members)
+
 
 def _population_level_orbit(p):
     """Plain breadth-first closure over whole populations, no quotienting.
@@ -438,7 +455,9 @@ def test_quotient_orbit_agrees_with_population_level_bfs(fixture):
     plain = _population_level_orbit(p)
     o = enumerate_orbit(p)
     assert o.size == len(plain)
-    assert plain == set(o.iter_members())
+    members = list(o.iter_members())
+    assert len(members) == o.size == len(set(members))
+    assert plain == set(members)
     h = Schema("alpha", (1, 2), "f1")
     total = sum(schema_count(h, member) for member in plain)
     assert orbit_frequency(o, h) == Fraction(total, len(plain) * p.b)
@@ -462,12 +481,77 @@ def test_family_quotient_on_another_base_population():
         assert quotient.family_frequency(target) == summed
 
 
-def test_shape_erases_tags_only():
-    p = population_b()
-    assert population_shape(p) == (
-        ("alpha", (1, 2), "f1"),
-        ("beta", (2, 1), "f2"),
-    )
+def _reference_bfs_shapes(start, fiber, cap):
+    """The orbit oracle's search without the slot-permutation quotient:
+    every tag-erased shape, unweighted, slots in population order."""
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        next_frontier = []
+        for shape in frontier:
+            for image in _suffix_move_images(shape):
+                if image not in seen:
+                    seen.add(image)
+                    if len(seen) * fiber > cap:
+                        raise OrbitCapExceeded(f"orbit size exceeds cap {cap}")
+                    next_frontier.append(image)
+        frontier = next_frontier
+    return sorted(seen)
+
+
+def _assert_matches_reference(o, start):
+    shapes = _reference_bfs_shapes(start, o.fiber, o.size)
+    assert sum(o.weights) == o.n_classes == len(shapes)
+    assert o.size == len(shapes) * o.fiber
+    slots = Counter(slot for shape in shapes for slot in shape)
+    decoded = {s: (o.action_names[s[0]], s[2:], o.terminal_names[s[1]]) for s in slots}
+    schemata = {ROOT}
+    for action, classes, terminal in decoded.values():
+        schemata |= {Schema(action, (), "#"), Schema(action, classes[:1], "#"), Schema(action, classes, terminal)}
+    for h in schemata:
+        fits = sum(n for s, n in slots.items() if match_parts(h, *decoded[s]))
+        expected = Fraction(fits, len(shapes) * o.b)
+        assert orbit_frequency(o, h) == o.family_frequency(h) == expected
+
+
+def test_weighted_orbit_matches_unquotiented_search():
+    rng = random.Random(37)
+    compared = 0
+    while compared < 200:
+        p = random_population(
+            rng, min_b=3, max_b=7, max_classes=rng.choice([3, 4, 6]), allow_stateless=compared % 2 == 0
+        )
+        start = _encode_start(p)[0]
+        # Both searches must trip the same cap; only the orbits within it are compared.
+        cap = 500 * _class_fiber(p)
+        try:
+            o = enumerate_orbit(p, cap=cap)
+        except OrbitCapExceeded:
+            with pytest.raises(OrbitCapExceeded):
+                _reference_bfs_shapes(start, _class_fiber(p), cap)
+            continue
+        _assert_matches_reference(o, start)
+        compared += 1
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_weighted_inflated_orbit_matches_unquotiented_search(m):
+    start = tuple(slot for slot in _encode_start(population_b())[0] for _ in range(m))
+    _assert_matches_reference(enumerate_inflated_orbit(population_b(), m, cap=10**40), start)
+
+
+@pytest.mark.parametrize("fixture", [population_a, population_b])
+def test_cap_trips_exactly_above_the_orbit_size(fixture):
+    p = fixture()
+    size = enumerate_orbit(p).size
+    enumerate_orbit(p, cap=size)
+    with pytest.raises(OrbitCapExceeded):
+        enumerate_orbit(p, cap=size - 1)
+    for m in (2, 3):
+        size = enumerate_inflated_orbit(p, m, cap=10**40).size
+        enumerate_inflated_orbit(p, m, cap=size)
+        with pytest.raises(OrbitCapExceeded):
+            enumerate_inflated_orbit(p, m, cap=size - 1)
 
 
 def test_chain_agrees_with_orbit_oracle(million_step_trace):
