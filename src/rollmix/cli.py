@@ -100,7 +100,9 @@ def _build_parser() -> _Parser:
     ev.add_argument("--walks", required=True, type=int)
     ev.add_argument("--seed", required=True, type=int)
     ev.add_argument("--cap", type=int, default=10**6, help="per-walk step cap")
-    ev.add_argument("--workers", type=int, default=1)
+    ev.add_argument("--workers", type=int, default=1,
+                    help="accepted for compatibility (must be >= 1); walks run in one process "
+                    "and their results never depend on this value")
     ev.add_argument("--out")
 
     ver = sub.add_parser("verify", help="run the full invariant and acceptance suite")
@@ -241,6 +243,8 @@ def _cmd_orbit(args: argparse.Namespace) -> int:
 def _cmd_eval(args: argparse.Namespace) -> int:
     if args.walks < 0:
         raise UsageError("--walks must be >= 0")
+    if args.cap < 1:
+        raise UsageError("--cap must be >= 1")
     if args.workers < 1:
         raise UsageError("--workers must be >= 1")
     population, payoffs = load_population(args.pop)

@@ -7,14 +7,15 @@ edge weights are its succession counts; they are the only store of those
 counts, which the closed-form frequency (:mod:`rollmix.stats`) reads too.
 Independent walkers ("bugs") start at an action and move along outgoing
 edges with probability proportional to edge weight until they hit a
-terminal sink.  An action's value is the exact mean of the payoffs its
-walkers collect, summed as rationals, which equals the running-mean update
-Q := n/(n+1) * Q + payoff/(n+1) in any completion order.
+terminal sink.  Step s of walk i draws an integer from a counter-based
+stream keyed by (seed, action, i, s), so no walk depends on another.  An
+action's value is the exact mean of the payoffs its walkers collect,
+summed as integers over the payoffs' common denominator.
 
 The walker estimate converges to the expected absorbed payoff, which
-exact_expected_payoff() computes in closed form over the rationals by
-solving the absorbing-chain linear system; the two routes are kept
-independent so each checks the other.
+exact_expected_payoff() computes exactly by fraction-free elimination of
+the absorbing-chain linear system; the two routes are kept independent so
+each checks the other.
 """
 
 from __future__ import annotations
@@ -24,8 +25,9 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import sqrt
-from typing import Mapping, Sequence
+from itertools import accumulate, chain
+from math import lcm, sqrt
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .model import ActionLabel, ClassId, Population, Rollout, Schema, TerminalLabel
 
@@ -112,34 +114,6 @@ class WeightedDigraph:
         terminals = sorted(x for kind, x in outs if kind == "terminal")
         return classes, terminals  # type: ignore[return-value]
 
-    def snapshot(self) -> "WalkTable":
-        """Immutable sampling tables for the current graph state."""
-        table: dict[Node, tuple[tuple[Node, ...], tuple[int, ...], int]] = {}
-        for src, outs in self.weights.items():
-            targets = tuple(sorted(outs, key=repr))
-            cum: list[int] = []
-            running = 0
-            for t in targets:
-                running += outs[t]
-                cum.append(running)
-            table[src] = (targets, tuple(cum), running)
-        return WalkTable(table)
-
-
-@dataclass(frozen=True)
-class WalkTable:
-    """Frozen per-node cumulative weights used by walkers."""
-
-    table: Mapping[Node, tuple[tuple[Node, ...], tuple[int, ...], int]]
-
-    def step(self, node: Node, rng: random.Random) -> Node:
-        targets, cum, total = self.table[node]
-        r = rng.random() * total
-        return targets[bisect_right(cum, r)]
-
-    def has_node(self, node: Node) -> bool:
-        return node in self.table
-
 
 def build_digraph(p: Population) -> WeightedDigraph:
     """Fold every rollout of the population into a fresh graph."""
@@ -156,29 +130,59 @@ class WalkOutcome:
     steps: int
 
 
+class _Rows(NamedTuple):
+    """Sampling rows over integer node ids.
+
+    Row ``i`` holds the cumulative out-weights of node ``i`` with its
+    targets in ``sorted(outs, key=repr)`` order; terminal ``j`` of
+    ``terminals`` is encoded as the negative id ``~j``.  A node without
+    out-edges loops on itself, so a walker that reaches it hits the cap.
+    """
+
+    ids: dict[Node, int]
+    cum: list[list[int]]
+    target: list[list[int]]
+    total: list[int]
+    terminals: list[TerminalLabel]
+
+
+def _walk_rows(g: WeightedDigraph) -> _Rows:
+    nodes = dict.fromkeys(chain(g.weights, *g.weights.values()))
+    terminals = [node for node in nodes if node[0] == "terminal"]
+    ids = {node: ~j for j, node in enumerate(terminals)}
+    ids.update((node, i) for i, node in enumerate(n for n in nodes if n[0] != "terminal"))
+    rows = _Rows(ids, [], [], [], [label for _, label in terminals])
+    for node in nodes:
+        if node[0] != "terminal":
+            outs = g.weights.get(node) or {node: 1}
+            order = sorted(outs, key=repr)
+            rows.cum.append(list(accumulate(outs[t] for t in order)))
+            rows.target.append([ids[t] for t in order])
+            rows.total.append(rows.cum[-1][-1])
+    return rows
+
+
 def walk(
-    g: WeightedDigraph | WalkTable,
+    g: WeightedDigraph,
     start: ActionLabel,
     cap: int = 10**6,
     rng: random.Random | None = None,
 ) -> WalkOutcome:
     """One walker trip from the action to a terminal sink.
 
-    Raises NoData when the action has no outgoing edges and CapExceeded
-    when the cap is hit before absorption.
+    Each step draws ``rng.randrange(total)`` and takes the target whose
+    cumulative-weight band holds it.  Raises NoData when the action has no
+    outgoing edges and CapExceeded when the cap is hit before absorption.
     """
-    table = g.snapshot() if isinstance(g, WeightedDigraph) else g
-    node = action_node(start)
-    if not table.has_node(node):
+    rows = _walk_rows(g)
+    node = rows.ids.get(action_node(start))
+    if node is None:
         raise NoData(f"action {start!r} has no recorded successors")
     rng = rng if rng is not None else random.Random()
-    steps = 0
-    while steps < cap:
-        node = table.step(node, rng)
-        steps += 1
-        kind, payload = node
-        if kind == "terminal":
-            return WalkOutcome(start, payload, steps)  # type: ignore[arg-type]
+    for steps in range(1, cap + 1):
+        node = rows.target[node][bisect_right(rows.cum[node], rng.randrange(rows.total[node]))]
+        if node < 0:
+            return WalkOutcome(start, rows.terminals[~node], steps)
     raise CapExceeded(f"no terminal reached from {start!r} within {cap} steps")
 
 
@@ -211,44 +215,56 @@ class EvaluationReport:
     seed: int
 
 
-def _walk_rng(seed: int, action: ActionLabel, index: int) -> random.Random:
+# SplitMix64 (Steele, Lea & Flood 2014): the golden-ratio increment and
+# the two multipliers of its output finaliser.
+_MASK = 2**64 - 1
+_GAMMA = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
+# Walk i starts its counter at i * 2**32; a walk would need 2**32 steps to
+# reach the next walk's counters.
+_STRIDE = (_GAMMA << 32) & _MASK
+
+
+def _action_key(seed: int, action: ActionLabel) -> int:
     # Stable across processes and interpreter runs, unlike hash().
-    digest = hashlib.sha256(f"{seed}:{action}:{index}".encode()).digest()
-    return random.Random(int.from_bytes(digest[:8], "big"))
+    return int.from_bytes(hashlib.sha256(f"{seed}:{action}".encode()).digest()[:8], "big")
 
 
-def _run_walks(
-    table: WalkTable,
-    action: ActionLabel,
-    payoffs: PayoffMap,
-    indices: range,
-    cap: int,
-    seed: int,
-) -> ActionEvaluation:
-    total = Fraction(0)
-    total_sq = Fraction(0)
-    n = 0
+def _walk_hits(rows: _Rows, start: int, key: int, indices: range, cap: int) -> tuple[list[int], int]:
+    """Terminal hit counts (indexed like ``rows.terminals``) and the number
+    of capped walks over the walk indices.
+
+    Step s of walk i draws x, the SplitMix64 finaliser of the counter
+    ``(key + (i * 2**32 + s) * gamma) mod 2**64``, and moves to the target
+    whose cumulative-weight band holds ``x mod total``.  A step is a pure
+    function of (key, i, s), so any split of the indices gives the same
+    totals.
+    """
+    cum, target, total = rows.cum, rows.target, rows.total
+    hits = [0] * len(rows.terminals)
     capped = 0
     for i in indices:
-        try:
-            outcome = walk(table, action, cap, _walk_rng(seed, action, i))
-        except CapExceeded:
+        z = (key + i * _STRIDE) & _MASK
+        node = start
+        for _ in range(cap):
+            x = (z ^ (z >> 30)) * _MIX1 & _MASK
+            x = (x ^ (x >> 27)) * _MIX2 & _MASK
+            node = target[node][bisect_right(cum[node], (x ^ (x >> 31)) % total[node])]
+            if node < 0:
+                hits[~node] += 1
+                break
+            z = (z + _GAMMA) & _MASK
+        else:
             capped += 1
-            continue
-        v = payoffs[outcome.terminal]
-        total += v
-        total_sq += v * v
-        n += 1
-    return ActionEvaluation(total, total_sq, n, capped)
+    return hits, capped
 
 
-def _merge(parts: Sequence[ActionEvaluation]) -> ActionEvaluation:
-    return ActionEvaluation(
-        sum((p.payoff_sum for p in parts), Fraction(0)),
-        sum((p.payoff_sumsq for p in parts), Fraction(0)),
-        sum(p.n for p in parts),
-        sum(p.cap_exceeded for p in parts),
-    )
+def _scaled_payoffs(payoffs: PayoffMap, labels: Iterable[TerminalLabel]) -> tuple[int, dict[TerminalLabel, int]]:
+    """L, the LCM of the labels' payoff denominators, and each payoff times L."""
+    values = {label: payoffs[label] for label in labels}
+    scale = lcm(*(v.denominator for v in values.values()))
+    return scale, {label: v.numerator * (scale // v.denominator) for label, v in values.items()}
 
 
 def evaluate_actions(
@@ -262,45 +278,38 @@ def evaluate_actions(
 ) -> EvaluationReport:
     """Run ``walks`` independent walkers per action and average their payoffs.
 
-    Each walk index owns its RNG substream, so results are bit-identical
-    for any worker count and any completion order.  Capped walks are
-    counted and excluded from the mean.
+    Every step of every walk draws from a counter-based stream keyed by
+    (seed, action, walk index, step), so results do not depend on how the
+    walks are split or ordered.  ``workers`` is validated and otherwise
+    ignored: one process steps every walk.  Capped walks are counted and
+    excluded from the mean.
     """
+    if cap < 1:
+        raise ValueError(f"cap must be >= 1, got {cap}")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     missing = g.terminals - set(payoffs)
     if missing:
         raise ValueError(f"payoff map misses terminals: {sorted(missing)}")
-    unique_actions: list[ActionLabel] = []
-    for a in actions:
-        if a not in unique_actions:
-            unique_actions.append(a)
-    table = g.snapshot()
+    unique_actions = list(dict.fromkeys(actions))
     for a in unique_actions:
-        if not table.has_node(action_node(a)):
+        if action_node(a) not in g.weights:
             raise NoData(f"action {a!r} has no recorded successors")
 
     per_action: dict[ActionLabel, ActionEvaluation] = {}
     if walks > 0:
-        chunk = max(1, (walks + max(workers, 1) - 1) // max(workers, 1))
-        spans = [range(lo, min(lo + chunk, walks)) for lo in range(0, walks, chunk)]
-        if workers > 1 and len(spans) > 1:
-            from concurrent.futures import ProcessPoolExecutor
-
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                futures = {
-                    a: [
-                        pool.submit(_run_walks, table, a, dict(payoffs), span, cap, seed)
-                        for span in spans
-                    ]
-                    for a in unique_actions
-                }
-                for a, futs in futures.items():
-                    per_action[a] = _merge([f.result() for f in futs])
-        else:
-            for a in unique_actions:
-                per_action[a] = _merge(
-                    [_run_walks(table, a, payoffs, span, cap, seed) for span in spans]
-                )
-
+        rows = _walk_rows(g)
+        scale, scaled = _scaled_payoffs(payoffs, rows.terminals)
+        nums = [scaled[t] for t in rows.terminals]
+        for a in unique_actions:
+            start = rows.ids[action_node(a)]
+            hits, capped = _walk_hits(rows, start, _action_key(seed, a), range(walks), cap)
+            per_action[a] = ActionEvaluation(
+                Fraction(sum(h * v for h, v in zip(hits, nums)), scale),
+                Fraction(sum(h * v * v for h, v in zip(hits, nums)), scale * scale),
+                sum(hits),
+                capped,
+            )
     return EvaluationReport(per_action, walks, seed)
 
 
@@ -321,10 +330,11 @@ def exact_expected_payoff(
 ) -> Fraction:
     """Expected absorbed payoff of a walk from the action, solved exactly.
 
-    Sets up E_i = sum_j (w_ij / W_i) E_j + sum_f (w_if / W_i) payoff(f)
-    over the class nodes reachable from the action and eliminates over the
-    rationals.  Raises Unsolvable if some reachable node cannot reach a
-    terminal (the system would have no absorbing solution).
+    Sets up W_i E_i - sum_j w_ij E_j = sum_f w_if payoff(f) over the class
+    nodes reachable from the action, scaled by the payoffs' common
+    denominator so every coefficient is an integer, and solves it by
+    fraction-free elimination.  Raises Unsolvable if some reachable node
+    cannot reach a terminal (the system would have no absorbing solution).
     """
     start = action_node(action)
     if start not in g.weights:
@@ -346,48 +356,54 @@ def exact_expected_payoff(
     if stuck:
         raise Unsolvable(f"nodes cannot reach a terminal: {sorted(stuck, key=repr)}")
 
+    scale, scaled = _scaled_payoffs(payoffs, (n[1] for n in reachable if n[0] == "terminal"))  # type: ignore[arg-type]
     classes = sorted((n for n in reachable if n[0] == "class"), key=repr)
     index = {node: i for i, node in enumerate(classes)}
     m = len(classes)
-    # Rows: E_i - sum_j p_ij E_j = sum_f p_if * payoff(f)
-    matrix = [[Fraction(0)] * (m + 1) for _ in range(m)]
-    for node, i in index.items():
-        matrix[i][i] = Fraction(1)
-        total = g.out_weight(node)
+    # Row i, times W_i and the scale L: W_i y_i - sum_j w_ij y_j =
+    # sum_f w_if L payoff(f), with y_i = L E_i.
+    matrix = []
+    for node in classes:
+        row = [0] * (m + 1)
+        row[index[node]] = g.out_weight(node)
         for dst, w in g.out_edges(node).items():
-            prob = Fraction(w, total)
             if dst[0] == "class":
-                matrix[i][index[dst]] -= prob
+                row[index[dst]] -= w
             else:
-                matrix[i][m] += prob * payoffs[dst[1]]  # type: ignore[index]
+                row[m] += w * scaled[dst[1]]  # type: ignore[index]
+        matrix.append(row)
 
-    solution = _solve_fraction_system(matrix, m)
-
-    total = g.out_weight(start)
-    value = Fraction(0)
+    det, solution = _bareiss_solve(matrix)
+    value = 0
     for dst, w in g.out_edges(start).items():
-        prob = Fraction(w, total)
-        if dst[0] == "class":
-            value += prob * solution[index[dst]]
-        else:
-            value += prob * payoffs[dst[1]]  # type: ignore[index]
-    return value
+        value += w * (solution[index[dst]] if dst[0] == "class" else det * scaled[dst[1]])  # type: ignore[index]
+    return Fraction(value, det * scale * g.out_weight(start))
 
 
-def _solve_fraction_system(matrix: list[list[Fraction]], m: int) -> list[Fraction]:
-    """Gaussian elimination with partial pivoting over the rationals."""
-    for col in range(m):
-        pivot = next((r for r in range(col, m) if matrix[r][col] != 0), None)
-        if pivot is None:
-            raise Unsolvable("singular absorbing-chain system")
-        matrix[col], matrix[pivot] = matrix[pivot], matrix[col]
-        inv = 1 / matrix[col][col]
-        matrix[col] = [x * inv for x in matrix[col]]
-        for r in range(m):
-            if r != col and matrix[r][col] != 0:
-                factor = matrix[r][col]
-                matrix[r] = [a - factor * b for a, b in zip(matrix[r], matrix[col])]
-    return [matrix[r][m] for r in range(m)]
+def _bareiss_solve(matrix: list[list[int]]) -> tuple[int, list[int]]:
+    """det(A) and det(A) * x for the integer system [A | b], by Bareiss's
+    fraction-free elimination without row swaps; every division is exact.
+
+    A is a Z-matrix (W_i on the diagonal, -w_ij off it) whose rows all
+    lead to a terminal, a nonsingular M-matrix: each pivot, a leading
+    principal minor, is positive.
+    """
+    m = len(matrix)
+    prev = 1
+    for k, pivot_row in enumerate(matrix):
+        pivot = pivot_row[k]
+        assert pivot > 0, "absorbing-chain system lost a positive leading minor"
+        tail = pivot_row[k + 1 :]
+        for row in matrix[k + 1 :]:
+            f = row[k]
+            row[k + 1 :] = [(pivot * x - f * y) // prev for x, y in zip(row[k + 1 :], tail)]
+        prev = pivot
+    solution = [0] * m
+    for i in reversed(range(m)):
+        row = matrix[i]
+        rest = sum(row[j] * solution[j] for j in range(i + 1, m))
+        solution[i] = (prev * row[m] - rest) // row[i]
+    return prev, solution
 
 
 def path_probability(g: WeightedDigraph, h: Schema) -> Fraction:

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
+from .fileio import is_json_int
 from .model import (
     ActionLabel,
     ClassId,
@@ -248,17 +249,13 @@ def sim_config_to_json(cfg: SimConfig) -> dict:
     }
 
 
-def _is_int(value: object) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def sim_config_from_json(data: dict) -> SimConfig:
     integers = ("n_states", "n_observations", "n_actions", "max_branching", "depth_cap", "rollouts", "seed")
     for name in integers:
-        if not _is_int(data[name]):
+        if not is_json_int(data[name]):
             raise InvalidConfig(f"{name} must be an integer, got {data[name]!r}")
     payoff_range = data["payoff_range"]
-    if not (isinstance(payoff_range, list) and len(payoff_range) == 2 and all(map(_is_int, payoff_range))):
+    if not (isinstance(payoff_range, list) and len(payoff_range) == 2 and all(map(is_json_int, payoff_range))):
         raise InvalidConfig(f"payoff_range must be two integers, got {payoff_range!r}")
     try:
         cap_payoff = Fraction(data.get("cap_payoff", 0))

@@ -47,8 +47,13 @@ class SchemaSyntaxError(ParseError):
     """Schema text does not follow the grammar; pinpoints the token."""
 
 
+def is_json_int(value: Any) -> bool:
+    """A JSON integer: Python reads ``true`` and ``false`` as ints too."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def parse_rational(text: Any) -> Fraction:
-    if isinstance(text, int):
+    if is_json_int(text):
         return Fraction(text)
     if not isinstance(text, str):
         raise ParseError(f"expected a rational string, got {text!r}")
@@ -110,9 +115,9 @@ def _state_from_json(entry: Any, where: str) -> TaggedState:
     if (
         not isinstance(entry, list)
         or len(entry) != 3
-        or not isinstance(entry[0], int)
+        or not is_json_int(entry[0])
         or not isinstance(entry[1], str)
-        or not isinstance(entry[2], int)
+        or not is_json_int(entry[2])
     ):
         raise ParseError(f"{where}: state entries are [class, tag, copy] triples, got {entry!r}")
     try:
@@ -239,7 +244,7 @@ def digraph_from_json(data: Any):
         g.classes.add(cls)
         lookup[name] = class_node(cls)
     for entry in data["edges"]:
-        if not (isinstance(entry, list) and len(entry) == 3 and isinstance(entry[2], int)):
+        if not (isinstance(entry, list) and len(entry) == 3 and is_json_int(entry[2])):
             raise ParseError(f"bad edge {entry!r}; expected [src, dst, weight]")
         src, dst, weight = entry
         if src not in lookup or dst not in lookup:

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -15,6 +18,16 @@ def run(capsys, *argv):
     code = dispatch(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_cli_import_loads_neither_numpy_nor_scipy():
+    # Every command pays for what ``import rollmix.cli`` loads, in start-up
+    # time and memory; only ``verify`` needs scipy, and imports it late.
+    probe = "import sys, rollmix.cli; print(sorted({m.split('.')[0] for m in sys.modules} & {'numpy', 'scipy'}))"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    out = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"
 
 
 class TestExitCodes:
@@ -339,6 +352,14 @@ GEN_CONFIG = {
 }
 
 
+# JSON booleans are not integers, though Python reads them as 1 and 0.
+BAD_POPULATIONS = {
+    "payoffs": '{"rollouts": [{"action": "a", "states": [[1, "a", 0]], "terminal": "f"}], "payoffs": [1]}',
+    "state_bool": '{"rollouts": [{"action": "a", "states": [[true, "x", false]], "terminal": "f"}], "payoffs": {"f": "1"}}',
+    "payoff_bool": '{"rollouts": [{"action": "a", "states": [[1, "a", 0]], "terminal": "f"}], "payoffs": {"f": true}}',
+}
+
+
 @pytest.mark.parametrize(
     "case, expected",
     [
@@ -351,8 +372,12 @@ GEN_CONFIG = {
         ({"cap_payoff": "1/0"}, 2),
         ({"cap_payoff": "x"}, 2),
         ("payoffs", 2),
+        ("state_bool", 2),
+        ("payoff_bool", 2),
         (["--workers", "0"], 1),
         (["--workers", "-3"], 1),
+        (["--cap", "0"], 1),
+        (["--cap", "-3"], 1),
     ],
     ids=repr,
 )
@@ -361,12 +386,9 @@ def test_bad_input_exits_with_one_line_message(capsys, tmp_path, case, expected)
         cfg = tmp_path / "env.json"
         cfg.write_text(json.dumps({**GEN_CONFIG, **case}), encoding="utf-8")
         argv = ["gen", "--env", str(cfg), "--seed", "1"]
-    elif case == "payoffs":
+    elif isinstance(case, str):
         pop = tmp_path / "pop.json"
-        pop.write_text(
-            '{"rollouts": [{"action": "a", "states": [[1, "a", 0]], "terminal": "f"}], "payoffs": [1]}',
-            encoding="utf-8",
-        )
+        pop.write_text(BAD_POPULATIONS[case], encoding="utf-8")
         argv = ["limit", "--pop", str(pop), "--schema", "#"]
     else:
         argv = ["eval", "--pop", str(FIXTURES / "P_B.json"), "--walks", "10", "--seed", "1", *case]

@@ -206,5 +206,7 @@ class TestDigraphFiles:
         with pytest.raises(ParseError):
             digraph_from_json({"nodes": {"actions": ["a"]}, "edges": [["a", "c9", 1]]})
         nodes = {"actions": ["a"], "terminals": ["f"]}
+        with pytest.raises(ParseError, match="bad edge"):
+            digraph_from_json({"nodes": nodes, "edges": [["a", "f", True]]})
         with pytest.raises(ParseError, match="twice"):
             digraph_from_json({"nodes": nodes, "edges": [["a", "f", 1], ["a", "f", 2]]})
