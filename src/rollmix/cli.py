@@ -20,7 +20,6 @@ identical inputs produce identical bytes).
 from __future__ import annotations
 
 import argparse
-import json
 import random
 import sys
 import tempfile
@@ -46,6 +45,7 @@ from .fileio import (
     load_population,
     parse_schema,
     population_to_json,
+    read_input,
     read_schemata_file,
 )
 from .model import InvalidPopulationError, Schema
@@ -123,7 +123,10 @@ def _schemata_from_args(args: argparse.Namespace) -> list[Schema]:
 def _emit(report: dict[str, Any], out: str | None) -> None:
     text = dump_canonical(report)
     if out:
-        Path(out).write_text(text, encoding="utf-8")
+        try:
+            Path(out).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise UsageError(f"cannot write {out}: {exc}") from None
     else:
         sys.stdout.write(text)
 
@@ -139,13 +142,7 @@ def _report(command: str, inputs: dict[str, Any], outputs: dict[str, Any]) -> di
 
 def _load_sim_config(path: str) -> SimConfig:
     try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: {exc}") from None
-    try:
-        return sim_config_from_json(data)
+        return sim_config_from_json(read_input(path))
     except KeyError as exc:
         raise ParseError(f"{path}: missing config field {exc}") from None
     except (TypeError, ValueError) as exc:
@@ -253,9 +250,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     if missing:
         raise ParseError(f"{args.pop}: payoffs missing for terminals {sorted(missing)}")
     actions = sorted({r.action for r in population.rollouts})
-    report = dg.evaluate_actions(
-        graph, actions, args.walks, payoffs, cap=args.cap, seed=args.seed, workers=args.workers
-    )
+    report = dg.evaluate_actions(graph, actions, args.walks, payoffs, cap=args.cap, seed=args.seed)
     outputs: dict[str, Any] = {"walks": args.walks, "actions": {}}
     for action in actions:
         oracle = dg.exact_expected_payoff(graph, action, payoffs)
@@ -264,7 +259,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
             ev = report.per_action[action]
             entry.update(
                 {
-                    "q": f"{float(ev.mean):.12g}" if ev.n else None,
+                    "q": f"{dg.as_float(ev.mean):.12g}" if ev.n else None,
                     "n": ev.n,
                     "payoff_sum": format_rational(ev.payoff_sum),
                     "stddev": f"{ev.stddev:.12g}",

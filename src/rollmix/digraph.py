@@ -22,11 +22,12 @@ from __future__ import annotations
 
 import hashlib
 import random
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, chain
-from math import lcm, sqrt
+from math import inf, isqrt, lcm, sqrt
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .model import ActionLabel, ClassId, Population, Rollout, Schema, TerminalLabel
@@ -204,8 +205,17 @@ class ActionEvaluation:
     def stddev(self) -> float:
         if self.n < 2:
             return 0.0
-        var = (self.payoff_sumsq - self.payoff_sum**2 / self.n) / (self.n - 1)
-        return sqrt(max(float(var), 0.0))
+        var = (self.payoff_sumsq - self.payoff_sum**2 / self.n) / (self.n - 1)  # exact, >= 0
+        # Past the float range, isqrt of var's integer part is exact far below float precision.
+        return sqrt(var) if var <= sys.float_info.max else as_float(isqrt(var.numerator // var.denominator))
+
+
+def as_float(x: Fraction | int) -> float:
+    """x rounded to a float, or +-inf where it lies beyond the float range."""
+    try:
+        return float(x)
+    except OverflowError:
+        return inf if x > 0 else -inf
 
 
 @dataclass(frozen=True)
@@ -274,20 +284,16 @@ def evaluate_actions(
     payoffs: PayoffMap,
     cap: int = 10**6,
     seed: int = 0,
-    workers: int = 1,
 ) -> EvaluationReport:
     """Run ``walks`` independent walkers per action and average their payoffs.
 
     Every step of every walk draws from a counter-based stream keyed by
     (seed, action, walk index, step), so results do not depend on how the
-    walks are split or ordered.  ``workers`` is validated and otherwise
-    ignored: one process steps every walk.  Capped walks are counted and
-    excluded from the mean.
+    walks are split or ordered.  Capped walks are counted and excluded
+    from the mean.
     """
     if cap < 1:
         raise ValueError(f"cap must be >= 1, got {cap}")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
     missing = g.terminals - set(payoffs)
     if missing:
         raise ValueError(f"payoff map misses terminals: {sorted(missing)}")

@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
 from .model import (
     Population,
@@ -67,6 +67,17 @@ def format_rational(value: Fraction) -> str:
     return str(Fraction(value))
 
 
+def read_input(path: str | Path, parse: Callable[[str], Any] = json.loads) -> Any:
+    """Parse a UTF-8 input file (as JSON by default); ParseError if it cannot
+    be read, is not UTF-8 or does not parse, too deep nesting included."""
+    try:
+        return parse(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from None
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        raise ParseError(f"{path}: {exc}") from None
+
+
 # --- schema text --------------------------------------------------------------
 
 
@@ -104,8 +115,7 @@ def format_schema(h: Schema) -> str:
 
 def read_schemata_file(path: str | Path) -> list[Schema]:
     """One schema per non-blank line."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    return [parse_schema(line) for line in lines if line.strip()]
+    return [parse_schema(line) for line in read_input(path, str.splitlines) if line.strip()]
 
 
 # --- population files ---------------------------------------------------------
@@ -188,15 +198,7 @@ def save_population(
 
 def load_population(path: str | Path) -> tuple[Population, PayoffMap]:
     """Parse and validate a population file."""
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from None
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: {exc}") from None
-    return population_from_json(data)
+    return population_from_json(read_input(path))
 
 
 # --- digraph files --------------------------------------------------------------

@@ -22,6 +22,7 @@ from .model import (
     Rollout,
     StateTag,
     TaggedState,
+    state,
     tag_symbol,
     validate_population,
 )
@@ -31,9 +32,9 @@ DEFAULT_ACTIONS = ("alpha", "beta", "gamma")
 
 def population_a() -> Population:
     rollouts = (
-        Rollout("alpha", (_st(1, "a"), _st(2, "a")), "f1"),
-        Rollout("alpha", (_st(1, "b"), _st(2, "b")), "f2"),
-        Rollout("beta", (_st(1, "c"), _st(2, "c")), "f3"),
+        Rollout("alpha", (state(1, "a"), state(2, "a")), "f1"),
+        Rollout("alpha", (state(1, "b"), state(2, "b")), "f2"),
+        Rollout("beta", (state(1, "c"), state(2, "c")), "f3"),
     )
     return Population(rollouts)
 
@@ -44,18 +45,14 @@ def payoffs_a() -> dict[str, Fraction]:
 
 def population_b() -> Population:
     rollouts = (
-        Rollout("alpha", (_st(1, "a"), _st(2, "a")), "f1"),
-        Rollout("beta", (_st(2, "b"), _st(1, "b")), "f2"),
+        Rollout("alpha", (state(1, "a"), state(2, "a")), "f1"),
+        Rollout("beta", (state(2, "b"), state(1, "b")), "f2"),
     )
     return Population(rollouts)
 
 
 def payoffs_b() -> dict[str, Fraction]:
     return {"f1": Fraction(1), "f2": Fraction(0)}
-
-
-def _st(cls: int, symbol: str) -> TaggedState:
-    return TaggedState(cls, StateTag(symbol))
 
 
 def random_population(

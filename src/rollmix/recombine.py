@@ -24,6 +24,11 @@ draws (``rng.random()`` against epsilon, then ``rng.randrange`` over the
 generators), so each seed keeps the trajectory of applying
 ``apply_transform`` step by step.
 
+The chain and the oracle share one slot encoding (``_encode_start``): a
+rollout is an integer tuple (action id, terminal token, classes...).  A
+schema compiles once (``_pattern``) into a test on that tuple
+(``_fits``), so both routes count schemata with the same matcher.
+
 Enumeration exploits a factorisation: position swaps generate every
 relabelling of same-class tags, those relabellings act freely, and no
 schema can see a tag.  The orbit therefore splits into tag-erased
@@ -54,8 +59,8 @@ from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, combinations, permutations, product
-from math import factorial, isqrt
-from typing import Iterator, Mapping, Sequence
+from math import factorial, isqrt, prod
+from typing import Hashable, Iterable, Iterator, Mapping, Sequence
 
 from .model import (
     ClassId,
@@ -64,9 +69,7 @@ from .model import (
     Schema,
     StateTag,
     TaggedState,
-    WILDCARD,
     inflate,
-    match_parts,
 )
 from .stats import Frequency
 
@@ -256,15 +259,53 @@ class ChainTrace:
     seed: int
     schema_counts: Mapping[Schema, int]
     visits: Mapping[Population, int] | None = None
-    visit_stride: int | None = None
-
-    @property
-    def b(self) -> int:
-        return self.initial.b
 
     def phi(self, h: Schema) -> Fraction:
         """Running frequency of the schema over the whole trajectory."""
-        return Fraction(self.schema_counts[h], self.b * (self.steps + 1))
+        return Fraction(self.schema_counts[h], self.initial.b * (self.steps + 1))
+
+
+# --- slot encoding -----------------------------------------------------------
+
+# A shape erases tags: one integer tuple per slot, (action id, terminal
+# token, class, class, ...).  Ids number the sorted action and terminal
+# names; an inflated orbit gives each copy family of terminals one token.
+EncodedShape = tuple[tuple[int, ...], ...]
+# (action id, lo, hi, values): a slot fits when slot[0] is the action id
+# and slot[lo:hi] equals values; None fits every slot.
+Pattern = tuple[int, int, int | None, tuple[int, ...]] | None
+
+
+def _encode_start(p: Population) -> tuple[EncodedShape, tuple[str, ...], tuple[str, ...]]:
+    """The population's shape, integer-encoded, with its action and terminal names."""
+    action_names = tuple(sorted({r.action for r in p.rollouts}))
+    terminal_names = tuple(sorted(p.terminals()))
+    action_ids = {name: i for i, name in enumerate(action_names)}
+    terminal_ids = {name: i for i, name in enumerate(terminal_names)}
+    start = tuple((action_ids[r.action], terminal_ids[r.terminal]) + r.classes for r in p.rollouts)
+    return start, action_names, terminal_names
+
+
+def _pattern(h: Schema, action_names: Sequence[str], terminal_names: Sequence[str]) -> Pattern:
+    """The schema as a test on encoded slots.  A #-tailed schema fixes the
+    classes at 2..2+k, a terminal-tailed one the token and every class."""
+    if h.is_root:
+        return None
+    if h.action not in action_names or not (h.wildcard_tail or h.tail in terminal_names):
+        return -1, 0, 0, ()  # no slot has action id -1
+    action = action_names.index(h.action)
+    if h.wildcard_tail:
+        return action, 2, 2 + len(h.classes), h.classes
+    return action, 1, None, (terminal_names.index(h.tail), *h.classes)
+
+
+def _fits(pattern: Pattern, slot: tuple[int, ...]) -> bool:
+    return pattern is None or (slot[0] == pattern[0] and slot[pattern[1] : pattern[2]] == pattern[3])
+
+
+def _arrangements(items: Iterable[Hashable]) -> int:
+    """Permutations that map each item to an equal one: prod of factorial(multiplicity)."""
+    return prod(map(factorial, Counter(items).values()))
 
 
 def run_chain(
@@ -293,9 +334,11 @@ def run_chain(
     gens, epsilon = mu.generators, mu.epsilon
     n_gens = len(gens)
 
+    start, action_names, terminal_names = _encode_start(p0)
+    patterns = [_pattern(h, action_names, terminal_names) for h in schemata]
     states = [s for r in p0.rollouts for s in r.states]  # state id -> state
-    actions = [r.action for r in p0.rollouts]
-    terminals = [r.terminal for r in p0.rollouts]
+    classes = [s.cls for s in states]
+    terminals = [slot[1] for slot in start]  # terminal token per slot
     slots: list[list[int]] = []
     slot_of: list[int] = []
     pos_of: list[int] = []
@@ -311,8 +354,8 @@ def run_chain(
     ]
 
     def fits(slot: int) -> list[bool]:
-        classes = tuple(states[x].cls for x in slots[slot])
-        return [match_parts(h, actions[slot], classes, terminals[slot]) for h in schemata]
+        encoded = (start[slot][0], terminals[slot], *[classes[x] for x in slots[slot]])
+        return [_fits(pattern, encoded) for pattern in patterns]
 
     matched = [fits(slot) for slot in range(len(slots))]
     # Each total starts as if P^0 lasted all steps+1 populations; a change
@@ -324,8 +367,8 @@ def run_chain(
         if visits is not None and t % visit_stride == 0:  # type: ignore[operator]
             current = Population(
                 tuple(
-                    Rollout(a, tuple(states[x] for x in slot), f)
-                    for a, slot, f in zip(actions, slots, terminals)
+                    Rollout(action_names[r[0]], tuple(states[x] for x in slot), terminal_names[f])
+                    for r, slot, f in zip(start, slots, terminals)
                 )
             )
             visits[current] = visits.get(current, 0) + 1
@@ -351,18 +394,15 @@ def run_chain(
                 for q, (before, after) in enumerate(zip(matched[s], new)):
                     totals[q] += (after - before) * (steps - t)
                 matched[s] = new
-    return ChainTrace(p0, steps, seed, dict(zip(schemata, totals)), visits, visit_stride)
+    return ChainTrace(p0, steps, seed, dict(zip(schemata, totals)), visits)
 
 
 # --- exact orbit enumeration -------------------------------------------------
 
-# A shape erases tags: one integer-encoded tuple per slot, (action id,
-# terminal token, class, class, ...).  A canonical shape also forgets the
-# slot order: its slots are sorted.  No move changes a slot's group (see
-# _group), and the slots of a group can be put in any order, so a
-# canonical shape stands for ``_weight`` shapes of the orbit.
-EncodedShape = tuple[tuple[int, ...], ...]
-
+# A canonical shape forgets the slot order: its slots are sorted.  No move
+# changes a slot's group (see _group), and the slots of a group can be put
+# in any order, so a canonical shape stands for ``_weight`` shapes of the
+# orbit.
 
 def _suffix_move_images(shape: EncodedShape) -> Iterator[EncodedShape]:
     """Images of a shape under every suffix-crossover move.
@@ -400,12 +440,7 @@ def _group(slot: tuple[int, ...]) -> tuple:
 def _weight(shape: EncodedShape) -> int:
     """Distinct slot orders of a shape that keep every slot in its group:
     prod over groups of |g|!, over the factorials of repeated slots."""
-    weight = 1
-    for n in Counter(map(_group, shape)).values():
-        weight *= factorial(n)
-    for n in Counter(shape).values():
-        weight //= factorial(n)
-    return weight
+    return _arrangements(map(_group, shape)) // _arrangements(shape)
 
 
 def _canonical_shapes(start: EncodedShape, fiber: int, cap: int) -> dict[EncodedShape, int]:
@@ -438,50 +473,13 @@ def _canonical_shapes(start: EncodedShape, fiber: int, cap: int) -> dict[Encoded
 
 def _class_fiber(p: Population) -> int:
     """Number of tag relabellings of a population: prod_i n_i! over classes."""
-    counts: dict[ClassId, int] = {}
-    for _, _, s in p.states():
-        counts[s.cls] = counts.get(s.cls, 0) + 1
-    fiber = 1
-    for n in counts.values():
-        fiber *= factorial(n)
-    return fiber
-
-
-def _encode_start(p: Population) -> tuple[EncodedShape, tuple[str, ...], tuple[str, ...]]:
-    """The population's shape, integer-encoded, with its action and terminal names."""
-    action_names = tuple(sorted({r.action for r in p.rollouts}))
-    terminal_names = tuple(sorted(p.terminals()))
-    action_ids = {name: i for i, name in enumerate(action_names)}
-    terminal_ids = {name: i for i, name in enumerate(terminal_names)}
-    start = tuple((action_ids[r.action], terminal_ids[r.terminal]) + r.classes for r in p.rollouts)
-    return start, action_names, terminal_names
+    return _arrangements(s.cls for _, _, s in p.states())
 
 
 def _shape_frequency(o: OrbitSet, h: Schema) -> Frequency:
     """Weighted mean of (slots fitting the schema)/b over canonical shapes."""
-    if h.is_root:
-        return Fraction(1)
-    if h.action not in o.action_names:
-        return Fraction(0)
-    action_id = o.action_names.index(h.action)
-    if h.wildcard_tail:
-        tail_token = None
-    elif h.tail in o.terminal_names:
-        tail_token = o.terminal_names.index(h.tail)
-    else:
-        return Fraction(0)
-    k = len(h.classes)
-    total = 0
-    for shape, weight in zip(o.encoded, o.weights):
-        count = 0
-        for slot in shape:
-            if slot[0] != action_id:
-                continue
-            if tail_token is None:
-                count += slot[2 : 2 + k] == h.classes
-            else:
-                count += slot[1] == tail_token and slot[2:] == h.classes
-        total += weight * count
+    pattern = _pattern(h, o.action_names, o.terminal_names)
+    total = sum(weight for slot, weight in o._slot_weights.items() if _fits(pattern, slot))
     return Fraction(total, o.n_classes * o.b)
 
 
@@ -522,17 +520,25 @@ class OrbitSet:
         return _shape_frequency(self, h)
 
     @cached_property
-    def _lookup(self) -> tuple[dict[str, int], dict[str, int], list[tuple], frozenset[EncodedShape]]:
-        actions = {name: i for i, name in enumerate(self.action_names)}
-        terminals = {label: slot[1] for slot, label in zip(self.start, self.initial.terminals())}
-        return actions, terminals, [_group(slot) for slot in self.start], frozenset(self.encoded)
+    def _slot_weights(self) -> dict[tuple[int, ...], int]:
+        # Each distinct slot with its weight summed over the canonical shapes.
+        totals: dict[tuple[int, ...], int] = {}
+        for shape, weight in zip(self.encoded, self.weights):
+            for slot in shape:
+                totals[slot] = totals.get(slot, 0) + weight
+        return totals
+
+    @cached_property
+    def _lookup(self) -> tuple[tuple[str, ...], tuple[int, ...], list[tuple], frozenset[EncodedShape]]:
+        labels, tokens = zip(*sorted(zip(self.initial.terminals(), (slot[1] for slot in self.start))))
+        return labels, tokens, [_group(slot) for slot in self.start], frozenset(self.encoded)
 
     def contains(self, p: Population) -> bool:
-        actions, terminals, groups, members = self._lookup
-        try:
-            encoded = [(actions[r.action], terminals[r.terminal]) + r.classes for r in p.rollouts]
-        except KeyError:
+        labels, tokens, groups, members = self._lookup
+        start, action_names, terminal_names = _encode_start(p)
+        if action_names != self.action_names or terminal_names != labels:
             return False
+        encoded = [(slot[0], tokens[slot[1]]) + slot[2:] for slot in start]
         return [_group(slot) for slot in encoded] == groups and tuple(sorted(encoded)) in members
 
     def iter_members(self, limit: int = 100_000) -> Iterator[Population]:
@@ -586,9 +592,8 @@ def _orbit(
     terminal_names: tuple[str, ...],
     cap: int,
 ) -> OrbitSet:
-    fiber = _class_fiber(initial)
-    for n in Counter(slot[1] for slot in start).values():
-        fiber *= factorial(n)  # relabellings of a token's terminals
+    # Relabellings of same-class tags and of a token's terminals.
+    fiber = _class_fiber(initial) * _arrangements(slot[1] for slot in start)
     if fiber > cap:
         raise OrbitCapExceeded(f"orbit size is at least {fiber}, cap {cap}")
     weights = _canonical_shapes(start, fiber, cap)
@@ -617,28 +622,6 @@ def enumerate_orbit(p0: Population, cap: int = 10**6) -> OrbitSet:
 def orbit_frequency(o: OrbitSet, h: Schema) -> Frequency:
     """Exact mean of (matching rollouts)/b over the whole orbit."""
     return _shape_frequency(o, h)
-
-
-def fitted_schema_counts(o: OrbitSet, max_height: int) -> dict[Schema, int]:
-    """Total match counts, over all tag-erased classes, of every schema
-    that at least one reachable rollout fits, up to the given class-prefix
-    length.  Terminal-tailed schemata are included when the fitting
-    rollout is short enough to be pinned exactly."""
-    totals: dict[tuple, int] = {}
-    for shape, weight in zip(o.encoded, o.weights):
-        for slot in shape:
-            classes = slot[2:]
-            for k in range(min(max_height, len(classes)) + 1):
-                key = (slot[0], classes[:k], None)
-                totals[key] = totals.get(key, 0) + weight
-            if len(classes) <= max_height:
-                key = (slot[0], classes, slot[1])
-                totals[key] = totals.get(key, 0) + weight
-    out: dict[Schema, int] = {}
-    for (action_id, classes, tail_token), count in totals.items():
-        tail = WILDCARD if tail_token is None else o.terminal_names[tail_token]
-        out[Schema(o.action_names[action_id], classes, tail)] = count
-    return out
 
 
 def enumerate_inflated_orbit(p0: Population, m: int, cap: int = 10**6) -> OrbitSet:

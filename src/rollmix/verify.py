@@ -36,7 +36,6 @@ from .recombine import (
     apply_transform,
     enumerate_inflated_orbit,
     enumerate_orbit,
-    fitted_schema_counts,
     generator_index,
     orbit_frequency,
     run_chain,
@@ -129,12 +128,8 @@ def _candidate_schemata(p: Population, max_height: int) -> list[Schema]:
 def _orbit_matches_formula(p: Population, o: OrbitSet, max_height: int) -> str | None:
     """None if exact agreement holds for every schema up to max_height."""
     graph = down_report(p)
-    totals = fitted_schema_counts(o, max_height)
     for h in _candidate_schemata(p, max_height):
-        if h.is_root:
-            observed = Fraction(1)
-        else:
-            observed = Fraction(totals.get(h, 0), o.n_classes * o.b)
+        observed = orbit_frequency(o, h)
         predicted = limiting_frequency_from_report(graph, h)
         if observed != predicted:
             return f"schema {h}: orbit {observed} != formula {predicted} on {p}"
@@ -197,26 +192,19 @@ def check_chain_convergence(seed: int = 404, steps: int = 100_000) -> CheckResul
     return _timed("chain convergence", run)
 
 
-def check_uniform_stationarity(
+def run_uniform_stationarity(
     seed: int = 505, steps: int = 1_000_000, stride: int = 101, p_threshold: float = 0.001
-) -> CheckResult:
+) -> tuple[CheckResult, ChainTrace | None]:
     """Thinned visit counts on a small orbit pass a uniform chi-square test,
     and the same run's schema frequencies settle on the exact orbit means.
 
     Consecutive chain samples are autocorrelated, which would invalidate
     the chi-square independence assumption, so visits are subsampled with
     a stride well past the mixing time.  The running frequencies use every
-    step.
+    step.  The chain comes back with the result, so further assertions on
+    the same run need not repeat it; it is None when the check stops
+    before running the chain.
     """
-    return run_uniform_stationarity(seed, steps, stride, p_threshold)[0]
-
-
-def run_uniform_stationarity(
-    seed: int = 505, steps: int = 1_000_000, stride: int = 101, p_threshold: float = 0.001
-) -> tuple[CheckResult, ChainTrace | None]:
-    """``check_uniform_stationarity`` that also hands back its chain, so
-    further assertions on the same run need not repeat it.  The trace is
-    None when the check stops before running the chain."""
     trace: ChainTrace | None = None
 
     def run() -> tuple[bool, str]:
@@ -319,17 +307,6 @@ def check_evaluator_oracle(seed: int = 606, walks: int = 100_000) -> CheckResult
     return _timed("evaluator vs oracle", run)
 
 
-def _wildcard_schemata(p: Population, max_height: int) -> list[Schema]:
-    classes = sorted(p.class_ids())
-    actions = sorted({r.action for r in p.rollouts})
-    out: list[Schema] = [ROOT]
-    for action in actions:
-        for height in range(max_height + 1):
-            for combo in iproduct(classes, repeat=height):
-                out.append(Schema(action, combo, WILDCARD))
-    return out
-
-
 def check_flow_conservation(seed: int = 707, populations: int = 100) -> CheckResult:
     """Child frequencies of every #-tailed schema sum exactly to the parent."""
 
@@ -338,7 +315,7 @@ def check_flow_conservation(seed: int = 707, populations: int = 100) -> CheckRes
         checked = 0
         for _ in range(populations):
             p = random_population(rng, allow_stateless=True)
-            for h in _wildcard_schemata(p, 3):
+            for h in [h for h in _candidate_schemata(p, 3) if h.is_root or h.wildcard_tail]:
                 parent = limiting_frequency(p, h)
                 children = frequency_children(p, h)
                 if sum(children.values(), Fraction(0)) != parent:
@@ -428,7 +405,7 @@ def run_verification(seed: int, workdir: str) -> list[CheckResult]:
         check_stat_invariance(sub()),
         check_homologous_exactness(sub()),
         check_chain_convergence(sub()),
-        check_uniform_stationarity(sub()),
+        run_uniform_stationarity(sub())[0],
         check_inflation_trend(),
         check_evaluator_oracle(sub()),
         check_flow_conservation(sub()),

@@ -2,9 +2,12 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from rollmix import __version__
 from rollmix.cli import dispatch
@@ -277,6 +280,40 @@ class TestMix:
         assert "--seed" in err
 
 
+# Every schema kind the slot matcher tells apart: the root, #-tails of
+# every height up to one past the longest reachable rollout, terminal
+# tails (height 0 included), an unknown action and an unknown terminal.
+ORBIT_GOLDEN_SCHEMATA = [
+    "#", "alpha,#", "beta,#", "omega,#", "alpha,1,#", "beta,1,#", "beta,2,#", "alpha,1,2,#",
+    "beta,2,1,#", "alpha,1,2,1,#", "beta,2,1,2,#", "alpha,1,2,1,2,#", "beta,2,1,2,1,#", "alpha,f1",
+    "alpha,1,f2", "alpha,1,2,f1", "alpha,1,2,f2", "beta,2,1,f2", "beta,1,2,f3", "beta,2,1,2,f1",
+    "omega,1,f1", "alpha,1,2,f9",
+]
+
+GOLDEN_ORBIT = {
+    "P_A": {
+        "orbit_size": 216, "canonical_classes": 6, "fiber": 36,
+        "frequencies": {
+            "#": "1", "alpha,#": "2/3", "alpha,1,#": "2/3", "alpha,1,2,#": "2/3", "alpha,1,2,1,#": "0",
+            "alpha,1,2,1,2,#": "0", "alpha,1,2,f1": "2/9", "alpha,1,2,f2": "2/9", "alpha,1,2,f9": "0",
+            "alpha,1,f2": "0", "alpha,f1": "0", "beta,#": "1/3", "beta,1,#": "1/3", "beta,1,2,f3": "1/9",
+            "beta,2,#": "0", "beta,2,1,#": "0", "beta,2,1,2,#": "0", "beta,2,1,2,1,#": "0",
+            "beta,2,1,2,f1": "0", "beta,2,1,f2": "0", "omega,#": "0", "omega,1,f1": "0",
+        },
+    },
+    "P_B": {
+        "orbit_size": 12, "canonical_classes": 3, "fiber": 4,
+        "frequencies": {
+            "#": "1", "alpha,#": "1/2", "alpha,1,#": "1/2", "alpha,1,2,#": "1/3", "alpha,1,2,1,#": "1/6",
+            "alpha,1,2,1,2,#": "0", "alpha,1,2,f1": "1/6", "alpha,1,2,f2": "0", "alpha,1,2,f9": "0",
+            "alpha,1,f2": "1/6", "alpha,f1": "0", "beta,#": "1/2", "beta,1,#": "0", "beta,1,2,f3": "0",
+            "beta,2,#": "1/2", "beta,2,1,#": "1/3", "beta,2,1,2,#": "1/6", "beta,2,1,2,1,#": "0",
+            "beta,2,1,2,f1": "1/6", "beta,2,1,f2": "1/6", "omega,#": "0", "omega,1,f1": "0",
+        },
+    },
+}
+
+
 class TestOrbit:
     def test_fixture_report(self, capsys):
         code, out, _ = run(
@@ -287,6 +324,24 @@ class TestOrbit:
         outputs = json.loads(out)["outputs"]
         assert outputs["orbit_size"] == 216
         assert outputs["frequencies"]["alpha,1,2,f1"] == "2/9"
+
+    @pytest.mark.parametrize("fixture", ["P_A", "P_B"])
+    def test_golden_report(self, capsys, fixture):
+        # The whole report, byte for byte: exact orbit means of every
+        # schema kind, and the orbit's size split into classes and fiber.
+        pop = str(FIXTURES / f"{fixture}.json")
+        argv = ["orbit", "--pop", pop]
+        for text in ORBIT_GOLDEN_SCHEMATA:
+            argv += ["--schema", text]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        expected = {
+            "command": "orbit",
+            "tool": {"name": "rollmix", "version": __version__},
+            "inputs": {"pop": pop, "cap": 10**6},
+            "outputs": GOLDEN_ORBIT[fixture],
+        }
+        assert out == dump_canonical(expected)
 
 
 class TestEval:
@@ -320,6 +375,46 @@ class TestEval:
         code, _, err = run(capsys, "eval", "--pop", str(pop), "--walks", "10", "--seed", "1")
         assert code == 2
         assert "payoffs" in err
+
+    def test_outputs_do_not_depend_on_workers(self, capsys):
+        # --workers is accepted and echoed, but every walk runs in one process.
+        reports = {}
+        for workers in ("1", "4"):
+            code, out, _ = run(
+                capsys, "eval", "--pop", str(FIXTURES / "P_B.json"),
+                "--walks", "2000", "--seed", "9", "--workers", workers,
+            )
+            assert code == 0
+            reports[workers] = json.loads(out)
+            assert reports[workers]["inputs"]["workers"] == int(workers)
+        assert reports["1"]["outputs"] == reports["4"]["outputs"]
+
+    def test_payoffs_past_the_float_range(self, capsys, tmp_path):
+        # Exact columns stay exact; q and stddev become +-inf only where the
+        # exact value passes the float range.
+        pop = tmp_path / "huge.json"
+        pop.write_text(json.dumps({
+            "rollouts": [
+                {"action": "alpha", "states": [[1, "a", 0]], "terminal": "f1"},
+                {"action": "beta", "states": [[2, "a", 0]], "terminal": "f2"},
+                {"action": "gamma", "states": [[3, "a", 0]], "terminal": "f3"},
+                {"action": "gamma", "states": [[3, "b", 0]], "terminal": "f4"},
+            ],
+            "payoffs": {"f1": "1e400", "f2": "-1e400", "f3": "1e200", "f4": "-1e200"},
+        }), encoding="utf-8")
+        code, out, err = run(capsys, "eval", "--pop", str(pop), "--walks", "50", "--seed", "1")
+        assert code == 0, err
+        actions = json.loads(out)["outputs"]["actions"]
+        assert actions["alpha"]["q"] == "inf" and actions["beta"]["q"] == "-inf"
+        assert actions["alpha"]["oracle"] == str(10**400) and actions["beta"]["oracle"] == str(-(10**400))
+        assert actions["alpha"]["payoff_sum"] == str(50 * 10**400)
+        assert actions["alpha"]["stddev"] == actions["beta"]["stddev"] == "0"
+        # gamma: the variance passes the float range but its root does not.
+        gamma = actions["gamma"]
+        n, gap = gamma["n"], Fraction(gamma["payoff_sum"]) / 10**200  # hits of f3 minus hits of f4
+        variance = (n - gap * gap / n) / (n - 1)  # in units of 1e400
+        assert float(gamma["stddev"]) == pytest.approx(float(variance) ** 0.5 * 1e200, rel=1e-11)
+        assert float(gamma["q"]) == float(gap / n) * 1e200
 
 
 class TestGen:
@@ -360,6 +455,33 @@ BAD_POPULATIONS = {
 }
 
 
+# Bytes no input reader accepts: not UTF-8, or nested past the JSON
+# decoder's recursion limit.
+BAD_BYTES = {"not_utf8": b'{"rollouts": ["\xff"]}\n', "nested": b"[" * 100_000}
+
+
+def _boundary_argv(tmp_path, kind, which):
+    pop = str(FIXTURES / "P_B.json")
+    missing = str(tmp_path / "no-such-dir" / "file")
+    commands = {
+        "limit": ["limit", "--pop", pop],
+        "mix": ["mix", "--pop", pop, "--steps", "5", "--seed", "1"],
+        "orbit": ["orbit", "--pop", pop],
+        "eval": ["eval", "--pop", pop, "--walks", "10", "--seed", "1"],
+    }
+    if kind == "missing schemata-file":
+        return commands[which] + ["--schemata-file", missing]
+    if kind == "unwritable out":
+        return commands[which] + (["--schema", "#"] if which != "eval" else []) + ["--out", missing]
+    path = tmp_path / "input"
+    path.write_bytes(BAD_BYTES[which])
+    return {
+        "pop": ["limit", "--pop", str(path), "--schema", "#"],
+        "env": ["gen", "--env", str(path), "--seed", "1"],
+        "schemata-file": ["limit", "--pop", pop, "--schemata-file", str(path)],
+    }[kind]
+
+
 @pytest.mark.parametrize(
     "case, expected",
     [
@@ -378,6 +500,16 @@ BAD_POPULATIONS = {
         (["--workers", "-3"], 1),
         (["--cap", "0"], 1),
         (["--cap", "-3"], 1),
+        (("pop", "not_utf8"), 2),
+        (("pop", "nested"), 2),
+        (("env", "not_utf8"), 2),
+        (("env", "nested"), 2),
+        (("schemata-file", "not_utf8"), 2),
+        (("missing schemata-file", "limit"), 2),
+        (("missing schemata-file", "mix"), 2),
+        (("missing schemata-file", "orbit"), 2),
+        (("unwritable out", "limit"), 1),
+        (("unwritable out", "eval"), 1),
     ],
     ids=repr,
 )
@@ -390,12 +522,74 @@ def test_bad_input_exits_with_one_line_message(capsys, tmp_path, case, expected)
         pop = tmp_path / "pop.json"
         pop.write_text(BAD_POPULATIONS[case], encoding="utf-8")
         argv = ["limit", "--pop", str(pop), "--schema", "#"]
+    elif isinstance(case, tuple):
+        argv = _boundary_argv(tmp_path, *case)
     else:
         argv = ["eval", "--pop", str(FIXTURES / "P_B.json"), "--walks", "10", "--seed", "1", *case]
     code, _, err = run(capsys, *argv)  # an escaping exception fails the test
     assert code == expected
     assert len(err.splitlines()) == 1
     assert err.startswith("rollmix: usage error:" if expected == 1 else "rollmix: invalid input:")
+
+
+# Generated population files: well-formed ones, then up to two nodes
+# replaced by bools, huge ints, wrong types, empty lists or values that
+# duplicate a state or a terminal.  Payoffs include values past the float
+# range.
+_JUNK = st.sampled_from([None, True, False, 0, -1, 2**70, 10**400, 1.5, "", "f1", [], {}, [1, "a", 0]])
+_PAYOFF = st.one_of(st.integers(-3, 3), st.sampled_from(["1/3", "-2/7", "1e400", "-1e400", 2**80]))
+
+
+def _nodes(value):
+    """(container, key) of every value inside a JSON document."""
+    keys = value.keys() if isinstance(value, dict) else range(len(value)) if isinstance(value, list) else ()
+    for key in keys:
+        yield value, key
+        yield from _nodes(value[key])
+
+
+@st.composite
+def _population_documents(draw):
+    rollouts, tags = [], {}
+    for i in range(draw(st.integers(1, 4))):
+        states = []
+        for cls in draw(st.lists(st.integers(1, 3), max_size=3)):
+            tags[cls] = tags.get(cls, 0) + 1
+            states.append([cls, "abcdefghijkl"[tags[cls] - 1], 0])
+        rollouts.append({"action": draw(st.sampled_from(["alpha", "beta"])), "states": states,
+                         "terminal": f"f{i + 1}"})
+    root = {"doc": {"rollouts": rollouts, "payoffs": {r["terminal"]: draw(_PAYOFF) for r in rollouts}}}
+    for _ in range(draw(st.integers(0, 2))):
+        container, key = draw(st.sampled_from(list(_nodes(root))))
+        container[key] = draw(_JUNK)
+    return root["doc"]
+
+
+_FUZZ_SCHEMATA = ["--schema", "#", "--schema", "alpha,1,#", "--schema", "beta,1,2,f1"]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=_population_documents())
+def test_generated_population_files_exit_cleanly(capsys, tmp_path, data):
+    pop = tmp_path / "pop.json"
+    pop.write_text(json.dumps(data), encoding="utf-8")
+    for argv in (
+        ["limit", "--pop", str(pop), *_FUZZ_SCHEMATA],
+        ["eval", "--pop", str(pop), "--walks", "20", "--seed", "1"],
+        ["mix", "--pop", str(pop), "--steps", "20", "--seed", "1", *_FUZZ_SCHEMATA],
+        ["orbit", "--pop", str(pop), *_FUZZ_SCHEMATA],
+    ):
+        code, _, err = run(capsys, *argv)  # an escaping exception fails the test
+        assert code in (0, 1, 2, 3)
+        if code:
+            # One message line; an invalid population lists its violations
+            # on indented lines below its header.
+            first, *rest = err.splitlines()
+            assert first.startswith("rollmix: ")
+            assert not rest or first == "rollmix: invalid population:" and all(
+                line.startswith("  ") for line in rest
+            )
 
 
 class TestVerifySubcommand:

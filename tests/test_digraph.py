@@ -223,13 +223,6 @@ class TestEvaluateActions:
             assert abs(float(ev.mean) - float(exact)) <= 3 * se
             assert ev.cap_exceeded == 0
 
-    def test_workers_produce_identical_results(self):
-        g = build_digraph(population_b())
-        serial = evaluate_actions(g, ["alpha", "beta"], 2_000, payoffs_b(), seed=9, workers=1)
-        parallel = evaluate_actions(g, ["alpha", "beta"], 2_000, payoffs_b(), seed=9, workers=3)
-        for action in ("alpha", "beta"):
-            assert serial.per_action[action] == parallel.per_action[action]
-
     def test_capped_walks_counted_and_excluded(self):
         g = build_digraph(population_b())
         report = evaluate_actions(g, ["alpha"], 50, payoffs_b(), cap=2, seed=10)

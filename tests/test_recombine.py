@@ -32,12 +32,15 @@ from rollmix.recombine import (
     orbit_frequency,
     _class_fiber,
     _encode_start,
+    _fits,
+    _pattern,
     _suffix_move_images,
     _unrank_pair,
     run_chain,
 )
 from rollmix.model import match_parts, schema_count
 from rollmix.stats import down_report
+from rollmix.verify import _candidate_schemata
 
 
 def tag(symbol):
@@ -238,6 +241,24 @@ class TestRunChain:
         trace = run_chain(p, 0, mu, [h], seed=1)
         assert trace.schema_counts[h] == 1
         assert trace.phi(h) == Fraction(1, 2)
+
+
+def test_slot_matcher_counts_what_schema_count_counts():
+    # The chain and the orbit oracle match schemata on encoded slots; the
+    # plain-object matcher behind schema_count is the independent reference.
+    rng = random.Random(41)
+    for n in range(200):
+        p = random_population(
+            rng, max_b=rng.choice([1, 3, 6]), max_height=rng.choice([1, 3, 4]),
+            max_classes=rng.choice([1, 2, 3]), allow_stateless=n % 2 == 0,
+        )
+        start, action_names, terminal_names = _encode_start(p)
+        r = rng.choice(p.rollouts)
+        misses = [Schema("omega", (), "#"), Schema("omega", r.classes, r.terminal),
+                  Schema(r.action, r.classes, "nowhere"), Schema(r.action, (), "nowhere")]
+        for h in _candidate_schemata(p, 3) + misses:
+            pattern = _pattern(h, action_names, terminal_names)
+            assert sum(_fits(pattern, slot) for slot in start) == schema_count(h, p), (h, p)
 
 
 def _reference_chain(p0, steps, mu, schemata, seed, visit_stride=None):
