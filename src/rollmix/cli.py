@@ -222,6 +222,8 @@ def _cmd_limit(args: argparse.Namespace) -> int:
 
 
 def _cmd_orbit(args: argparse.Namespace) -> int:
+    if args.cap < 1:
+        raise UsageError("--cap must be >= 1")
     population, _ = load_population(args.pop)
     schemata = _schemata_from_args(args)
     orbit = enumerate_orbit(population, cap=args.cap)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .fileio import is_json_int
+from .fileio import ParseError, is_json_int, parse_rational
 from .model import (
     ActionLabel,
     ClassId,
@@ -258,8 +258,8 @@ def sim_config_from_json(data: dict) -> SimConfig:
     if not (isinstance(payoff_range, list) and len(payoff_range) == 2 and all(map(is_json_int, payoff_range))):
         raise InvalidConfig(f"payoff_range must be two integers, got {payoff_range!r}")
     try:
-        cap_payoff = Fraction(data.get("cap_payoff", 0))
-    except (TypeError, ValueError, ZeroDivisionError):
+        cap_payoff = parse_rational(data.get("cap_payoff", 0))
+    except ParseError:
         raise InvalidConfig(f"cap_payoff must be a rational, got {data.get('cap_payoff')!r}") from None
     return SimConfig(
         **{name: data[name] for name in integers},

@@ -52,6 +52,12 @@ def is_json_int(value: Any) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_digits(text: str) -> bool:
+    """ASCII digits only: ``str.isdigit`` also accepts digits ``int`` rejects
+    (superscripts) and reads other scripts' digits as numbers."""
+    return text.isascii() and text.isdigit()
+
+
 def parse_rational(text: Any) -> Fraction:
     if is_json_int(text):
         return Fraction(text)
@@ -92,17 +98,17 @@ def parse_schema(text: str) -> Schema:
             f"schema {text!r} needs an action and a tail (terminal or '#')"
         )
     action = tokens[0]
-    if not action or action == WILDCARD or action.isdigit():
+    if not action or action == WILDCARD or _is_digits(action):
         raise SchemaSyntaxError(f"bad action token {action!r} in {text!r}")
     classes = []
     for tok in tokens[1:-1]:
-        if not tok.isdigit() or int(tok) < 1:
+        if not _is_digits(tok) or int(tok) < 1:
             raise SchemaSyntaxError(f"bad class token {tok!r} in {text!r}")
         classes.append(int(tok))
     tail = tokens[-1]
     if not tail:
         raise SchemaSyntaxError(f"empty tail token in {text!r}")
-    if tail != WILDCARD and tail.isdigit():
+    if tail != WILDCARD and _is_digits(tail):
         raise SchemaSyntaxError(
             f"tail {tail!r} in {text!r} looks like a class; schemata end in a terminal or '#'"
         )
@@ -240,7 +246,7 @@ def digraph_from_json(data: Any):
     lookup = {name: action_node(name) for name in g.actions}
     lookup.update({name: terminal_node(name) for name in g.terminals})
     for name in nodes.get("classes", []):
-        if not (isinstance(name, str) and name[:1] == "c" and name[1:].isdigit()):
+        if not (isinstance(name, str) and name[:1] == "c" and _is_digits(name[1:])):
             raise ParseError(f"bad class node {name!r}; expected 'c<id>'")
         cls = int(name[1:])
         g.classes.add(cls)

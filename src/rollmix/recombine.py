@@ -58,7 +58,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, combinations, permutations, product
+from itertools import accumulate, combinations
 from math import factorial, isqrt, prod
 from typing import Hashable, Iterable, Iterator, Mapping, Sequence
 
@@ -540,45 +540,6 @@ class OrbitSet:
             return False
         encoded = [(slot[0], tokens[slot[1]]) + slot[2:] for slot in start]
         return [_group(slot) for slot in encoded] == groups and tuple(sorted(encoded)) in members
-
-    def iter_members(self, limit: int = 100_000) -> Iterator[Population]:
-        """Materialise every reachable population (small orbits only).
-
-        Each canonical shape is laid out in every slot order that keeps
-        each group on its own positions; each layout then takes every
-        assignment of tags to same-class states and of labels to
-        same-token terminals.  Symbols are handed out in slot order.
-        """
-        if self.size > limit:
-            raise OrbitCapExceeded(f"orbit has {self.size} members, limit {limit}")
-        groups = [_group(slot) for slot in self.start]
-        distinct = list(dict.fromkeys(groups))
-        layouts: set[EncodedShape] = set()
-        for shape in self.encoded:
-            orders = [set(permutations([s for s in shape if _group(s) == g])) for g in distinct]
-            for arrangement in product(*orders):
-                take = {g: iter(order) for g, order in zip(distinct, arrangement)}
-                layouts.add(tuple(next(take[g]) for g in groups))
-        # Interchangeable symbols: (0, class) -> tags, (1, token) -> labels.
-        symbols: dict[tuple[int, int], list] = {}
-        for _, _, s in self.initial.states():
-            symbols.setdefault((0, s.cls), []).append(s.tag)
-        for slot, label in zip(self.start, self.initial.terminals()):
-            symbols.setdefault((1, slot[1]), []).append(label)
-        keys = sorted(symbols)
-        for shape in sorted(layouts):
-            for assignment in product(*(permutations(sorted(symbols[k])) for k in keys)):
-                take = {k: iter(order) for k, order in zip(keys, assignment)}
-                yield Population(
-                    tuple(
-                        Rollout(
-                            self.action_names[slot[0]],
-                            tuple(TaggedState(cls, next(take[0, cls])) for cls in slot[2:]),
-                            next(take[1, slot[1]]),
-                        )
-                        for slot in shape
-                    )
-                )
 
 
 # The inflated orbit is the same weighted orbit, started from copies.

@@ -5,7 +5,11 @@ prints a PASS/FAIL line with the measured runtime, and enforces the
 stated tolerance and runtime budget.
 """
 
+import math
+import random
 from fractions import Fraction
+
+import pytest
 
 from rollmix import Schema
 from rollmix import verify
@@ -38,6 +42,35 @@ def test_criterion_04_chain_convergence():
 
 def test_criterion_05_uniform_stationarity(stationarity_run):
     report(stationarity_run[0], 120)
+
+
+def test_chi_square_matches_scipy():
+    # Criterion 05's p-value is computed in closed form; scipy is the
+    # reference, on a fixed grid of degrees of freedom and statistics.
+    stats = pytest.importorskip("scipy.stats")
+    xs = [i / 4 for i in range(801)]
+    for k in range(1, 61):
+        for x, ref in zip(xs, stats.chi2.sf(xs, k)):
+            if ref > 1e-300:
+                assert verify._chi2_sf(x, k) == pytest.approx(ref, rel=1e-12, abs=0), (x, k)
+    rng = random.Random(5)
+    for _ in range(200):
+        observed = [rng.randint(0, 40) for _ in range(rng.randint(2, 50))]
+        observed[0] += 1
+        stat, p = verify._chi_square(observed)
+        ref = stats.chisquare(observed)
+        assert stat == pytest.approx(ref.statistic, rel=1e-12, abs=1e-12)
+        assert p == pytest.approx(ref.pvalue, rel=1e-12)
+
+
+def test_chi_square_edges():
+    assert verify._chi_square([7, 7, 7]) == (0.0, 1.0)
+    for k in range(1, 61):
+        assert verify._chi2_sf(0.0, k) == 1.0
+    for x in (0.5, 3.0, 40.0, 200.0):
+        assert verify._chi2_sf(x, 2) == math.exp(-x / 2)
+    # A far-off chain drives p to zero, never to nan.
+    assert verify._chi2_sf(1e6, 11) == verify._chi2_sf(1e6, 12) == 0.0
 
 
 def test_criterion_06_inflation_trend():

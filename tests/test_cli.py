@@ -24,9 +24,18 @@ def run(capsys, *argv):
 
 
 def test_cli_import_loads_neither_numpy_nor_scipy():
-    # Every command pays for what ``import rollmix.cli`` loads, in start-up
-    # time and memory; only ``verify`` needs scipy, and imports it late.
-    probe = "import sys, rollmix.cli; print(sorted({m.split('.')[0] for m in sys.modules} & {'numpy', 'scipy'}))"
+    # rollmix runs on the standard library alone, and every command pays
+    # for what its imports load in start-up time and memory.  Every module
+    # is imported, ``verify`` and ``fixtures`` included (``__main__`` would
+    # run the CLI).
+    probe = (
+        "import importlib, pkgutil, sys, rollmix\n"
+        "for m in pkgutil.iter_modules(rollmix.__path__):\n"
+        "    if m.name != '__main__':\n"
+        "        importlib.import_module('rollmix.' + m.name)\n"
+        "assert {'rollmix.verify', 'rollmix.fixtures'} <= set(sys.modules)\n"
+        "print(sorted({m.split('.')[0] for m in sys.modules} & {'numpy', 'scipy'}))"
+    )
     src = str(Path(__file__).resolve().parents[1] / "src")
     out = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": src},
                          capture_output=True, text=True, check=True, timeout=60)
@@ -49,6 +58,17 @@ class TestExitCodes:
         )
         assert code == 1
         assert "schema syntax" in err
+
+    # str.isdigit accepts these; int() rejects the first and reads the
+    # others as 1.
+    @pytest.mark.parametrize("token", ["\u00b2", "\u0661", "\uff11"])
+    def test_non_ascii_digit_class_is_schema_syntax_error(self, capsys, token):
+        code, _, err = run(
+            capsys, "limit", "--pop", str(FIXTURES / "P_A.json"), "--schema", f"alpha,{token},#"
+        )
+        assert code == 1
+        assert err.startswith("rollmix: schema syntax error: bad class token")
+        assert repr(token) in err
 
     def test_invalid_population_lists_violations(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
@@ -471,6 +491,8 @@ def _boundary_argv(tmp_path, kind, which):
     }
     if kind == "missing schemata-file":
         return commands[which] + ["--schemata-file", missing]
+    if kind == "orbit cap":
+        return commands["orbit"] + ["--schema", "#", "--cap", which]
     if kind == "unwritable out":
         return commands[which] + (["--schema", "#"] if which != "eval" else []) + ["--out", missing]
     path = tmp_path / "input"
@@ -493,6 +515,8 @@ def _boundary_argv(tmp_path, kind, which):
         ({"seed": False}, 2),
         ({"cap_payoff": "1/0"}, 2),
         ({"cap_payoff": "x"}, 2),
+        ({"cap_payoff": True}, 2),
+        ({"cap_payoff": 0.1}, 2),
         ("payoffs", 2),
         ("state_bool", 2),
         ("payoff_bool", 2),
@@ -510,6 +534,8 @@ def _boundary_argv(tmp_path, kind, which):
         (("missing schemata-file", "orbit"), 2),
         (("unwritable out", "limit"), 1),
         (("unwritable out", "eval"), 1),
+        (("orbit cap", "0"), 1),
+        (("orbit cap", "-5"), 1),
     ],
     ids=repr,
 )

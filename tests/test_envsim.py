@@ -165,3 +165,7 @@ def test_env_and_config_json_roundtrip():
 
     cfg = small_config()
     assert sim_config_from_json(json.loads(json.dumps(sim_config_to_json(cfg)))) == cfg
+    # cap_payoff reads like a population payoff: an int or a rational string.
+    for raw, value in ((2, Fraction(2)), ("3/2", Fraction(3, 2)), ("0", Fraction(0))):
+        data = {**sim_config_to_json(cfg), "cap_payoff": raw}
+        assert sim_config_from_json(data).cap_payoff == value

@@ -210,3 +210,6 @@ class TestDigraphFiles:
             digraph_from_json({"nodes": nodes, "edges": [["a", "f", True]]})
         with pytest.raises(ParseError, match="twice"):
             digraph_from_json({"nodes": nodes, "edges": [["a", "f", 1], ["a", "f", 2]]})
+        for name in ("c\u00b2", "c\u0661"):
+            with pytest.raises(ParseError, match="bad class node"):
+                digraph_from_json({"nodes": {"classes": [name]}, "edges": []})
