@@ -44,7 +44,7 @@ from .fileio import (
     format_schema,
     load_population,
     parse_schema,
-    population_to_json,
+    population_text,
     read_input,
     read_schemata_file,
 )
@@ -120,8 +120,7 @@ def _schemata_from_args(args: argparse.Namespace) -> list[Schema]:
     return schemata
 
 
-def _emit(report: dict[str, Any], out: str | None) -> None:
-    text = dump_canonical(report)
+def _emit(text: str, out: str | None) -> None:
     if out:
         try:
             Path(out).write_text(text, encoding="utf-8")
@@ -173,7 +172,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     env = make_random_pomdp(cfg, random.Random(cfg.seed))
     actions = [env.root_actions[i % len(env.root_actions)] for i in range(cfg.rollouts)]
     sample = generate_population(env, actions, random.Random(args.seed))
-    _emit(population_to_json(sample.population, sample.payoffs), args.out)
+    _emit(population_text(sample.population, sample.payoffs), args.out)
     if sample.cap_hits:
         print(f"[rollmix] gen: {sample.cap_hits} rollouts hit the depth cap", file=sys.stderr)
     return 0
@@ -202,7 +201,7 @@ def _cmd_mix(args: argparse.Namespace) -> int:
         "seed": args.seed,
         "identity_prob": args.identity_prob,
     }
-    _emit(_report("mix", inputs, outputs), args.out)
+    _emit(dump_canonical(_report("mix", inputs, outputs)), args.out)
     return 0
 
 
@@ -217,7 +216,7 @@ def _cmd_limit(args: argparse.Namespace) -> int:
         },
         "down_report": _down_report_json(graph),
     }
-    _emit(_report("limit", {"pop": args.pop}, outputs), args.out)
+    _emit(dump_canonical(_report("limit", {"pop": args.pop}, outputs)), args.out)
     return 0
 
 
@@ -235,7 +234,7 @@ def _cmd_orbit(args: argparse.Namespace) -> int:
             format_schema(h): format_rational(orbit_frequency(orbit, h)) for h in schemata
         },
     }
-    _emit(_report("orbit", {"pop": args.pop, "cap": args.cap}, outputs), args.out)
+    _emit(dump_canonical(_report("orbit", {"pop": args.pop, "cap": args.cap}, outputs)), args.out)
     return 0
 
 
@@ -280,7 +279,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         "cap": args.cap,
         "workers": args.workers,
     }
-    _emit(_report("eval", inputs, outputs), args.out)
+    _emit(dump_canonical(_report("eval", inputs, outputs)), args.out)
     return 0
 
 
@@ -294,19 +293,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         status = "PASS" if r.passed else "FAIL"
         print(f"{status} {r.name} ({r.seconds:.1f}s): {r.detail}")
     if args.out:
-        _emit(
-            _report(
-                "verify",
-                {"seed": args.seed},
-                {
-                    "results": [
-                        {"name": r.name, "passed": r.passed, "detail": r.detail}
-                        for r in results
-                    ]
-                },
-            ),
-            args.out,
-        )
+        outputs = {
+            "results": [{"name": r.name, "passed": r.passed, "detail": r.detail} for r in results]
+        }
+        _emit(dump_canonical(_report("verify", {"seed": args.seed}, outputs)), args.out)
     return 4 if failed else 0
 
 

@@ -22,6 +22,8 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from functools import lru_cache
+from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Any, Callable, Mapping
 
@@ -127,21 +129,6 @@ def read_schemata_file(path: str | Path) -> list[Schema]:
 # --- population files ---------------------------------------------------------
 
 
-def _state_from_json(entry: Any, where: str) -> TaggedState:
-    if (
-        not isinstance(entry, list)
-        or len(entry) != 3
-        or not is_json_int(entry[0])
-        or not isinstance(entry[1], str)
-        or not is_json_int(entry[2])
-    ):
-        raise ParseError(f"{where}: state entries are [class, tag, copy] triples, got {entry!r}")
-    try:
-        return TaggedState(entry[0], StateTag(entry[1], entry[2]))
-    except ValueError as exc:
-        raise ParseError(f"{where}: {exc}") from None
-
-
 def population_from_json(data: Any) -> tuple[Population, PayoffMap]:
     if not isinstance(data, dict) or "rollouts" not in data:
         raise ParseError("population files are objects with a 'rollouts' list")
@@ -150,30 +137,48 @@ def population_from_json(data: Any) -> tuple[Population, PayoffMap]:
         raise ParseError("'rollouts' must be a list")
     rollouts: list[Rollout] = []
     for i, entry in enumerate(raw_rollouts):
-        where = f"rollout {i}"
         if not isinstance(entry, dict):
-            raise ParseError(f"{where}: must be an object")
+            raise ParseError(f"rollout {i}: must be an object")
         try:
             action = entry["action"]
             terminal = entry["terminal"]
         except KeyError as exc:
-            raise ParseError(f"{where}: missing field {exc}") from None
+            raise ParseError(f"rollout {i}: missing field {exc}") from None
         states = entry.get("states", [])
         if not isinstance(states, list):
-            raise ParseError(f"{where}: 'states' must be a list")
+            raise ParseError(f"rollout {i}: 'states' must be a list")
         if not isinstance(action, str) or not isinstance(terminal, str):
-            raise ParseError(f"{where}: action and terminal are strings")
-        parsed = tuple(_state_from_json(s, where) for s in states)
+            raise ParseError(f"rollout {i}: action and terminal are strings")
+        parsed = []
+        for s in states:
+            if not (
+                isinstance(s, list)
+                and len(s) == 3
+                and is_json_int(s[0])
+                and isinstance(s[1], str)
+                and is_json_int(s[2])
+            ):
+                raise ParseError(f"rollout {i}: state entries are [class, tag, copy] triples, got {s!r}")
+            try:
+                parsed.append(TaggedState(s[0], StateTag(s[1], s[2])))
+            except ValueError as exc:
+                raise ParseError(f"rollout {i}: {exc}") from None
         try:
-            rollouts.append(Rollout(action, parsed, terminal))
+            rollouts.append(Rollout(action, tuple(parsed), terminal))
         except ValueError as exc:
-            raise ParseError(f"{where}: {exc}") from None
+            raise ParseError(f"rollout {i}: {exc}") from None
     raw_payoffs = data.get("payoffs", {})
     if not isinstance(raw_payoffs, dict):
         raise ParseError("'payoffs' must be an object")
-    payoffs = {name: parse_rational(value) for name, value in raw_payoffs.items()}
-    population = validate_population(rollouts)
-    return population, payoffs
+    # Payoffs repeat a few values: parse each distinct str or int once, keyed
+    # by type and value.  Any other value (a bool, a float, a list...) is an
+    # error, unhashable or not, and goes straight to parse_rational.
+    cached = lru_cache(maxsize=None, typed=True)(parse_rational)
+    payoffs = {
+        name: (cached if type(value) in (str, int) else parse_rational)(value)
+        for name, value in raw_payoffs.items()
+    }
+    return validate_population(rollouts), payoffs
 
 
 def population_to_json(p: Population, payoffs: Mapping[TerminalLabel, Fraction] | None = None) -> dict:
@@ -196,10 +201,30 @@ def dump_canonical(data: Any) -> str:
     return json.dumps(data, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
 
 
+def population_text(p: Population, payoffs: Mapping[TerminalLabel, Fraction] | None = None) -> str:
+    """The bytes of ``dump_canonical(population_to_json(p, payoffs))``, written
+    straight from the population: json's indented encoder runs in pure Python."""
+    q = encode_basestring  # the escaper json.dumps uses with ensure_ascii=False
+    rollouts = []
+    for r in p.rollouts:
+        states = ",\n".join(
+            f"        [\n          {s.cls},\n          {q(s.tag.symbol)},\n          {s.tag.copy}\n        ]"
+            for s in r.states
+        )
+        states = f"[\n{states}\n      ]" if states else "[]"
+        rollouts.append(
+            f'    {{\n      "action": {q(r.action)},\n      "states": {states},\n'
+            f'      "terminal": {q(r.terminal)}\n    }}'
+        )
+    lines = ",\n".join(f"    {q(k)}: {q(format_rational(v))}" for k, v in sorted((payoffs or {}).items()))
+    payoff_block = f"{{\n{lines}\n  }}" if lines else "{}"
+    return f'{{\n  "payoffs": {payoff_block},\n  "rollouts": [\n' + ",\n".join(rollouts) + "\n  ]\n}\n"
+
+
 def save_population(
     path: str | Path, p: Population, payoffs: Mapping[TerminalLabel, Fraction] | None = None
 ) -> None:
-    Path(path).write_text(dump_canonical(population_to_json(p, payoffs)), encoding="utf-8")
+    Path(path).write_text(population_text(p, payoffs), encoding="utf-8")
 
 
 def load_population(path: str | Path) -> tuple[Population, PayoffMap]:
@@ -237,25 +262,29 @@ def digraph_to_json(g) -> dict:
 def digraph_from_json(data: Any):
     from .digraph import WeightedDigraph, action_node, class_node, terminal_node
 
-    if not isinstance(data, dict) or "nodes" not in data or "edges" not in data:
-        raise ParseError("digraph files carry 'nodes' and 'edges'")
-    nodes = data["nodes"]
+    if not (isinstance(data, dict) and isinstance(data.get("nodes"), dict) and isinstance(data.get("edges"), list)):
+        raise ParseError("digraph files carry a 'nodes' object and an 'edges' list")
     g = WeightedDigraph()
-    g.actions.update(nodes.get("actions", []))
-    g.terminals.update(nodes.get("terminals", []))
-    lookup = {name: action_node(name) for name in g.actions}
-    lookup.update({name: terminal_node(name) for name in g.terminals})
-    for name in nodes.get("classes", []):
-        if not (isinstance(name, str) and name[:1] == "c" and _is_digits(name[1:])):
-            raise ParseError(f"bad class node {name!r}; expected 'c<id>'")
-        cls = int(name[1:])
-        g.classes.add(cls)
-        lookup[name] = class_node(cls)
+    # Edges name their nodes, so a name may be declared once, in one list.
+    lookup: dict[str, Any] = {}
+    for field, make in (("actions", action_node), ("terminals", terminal_node), ("classes", None)):
+        names = data["nodes"].get(field, [])
+        if not isinstance(names, list):
+            raise ParseError(f"node list {field!r} must be a list")
+        for name in names:
+            if make is None and not (isinstance(name, str) and name[:1] == "c" and _is_digits(name[1:])):
+                raise ParseError(f"bad class node {name!r}; expected 'c<id>'")
+            if not (isinstance(name, str) and name):
+                raise ParseError(f"bad node {name!r} in {field!r}; labels are non-empty strings")
+            if name in lookup:
+                raise ParseError(f"node {name!r} is declared twice")
+            lookup[name] = make(name) if make else class_node(int(name[1:]))
+            getattr(g, field).add(lookup[name][1])
     for entry in data["edges"]:
         if not (isinstance(entry, list) and len(entry) == 3 and is_json_int(entry[2])):
             raise ParseError(f"bad edge {entry!r}; expected [src, dst, weight]")
         src, dst, weight = entry
-        if src not in lookup or dst not in lookup:
+        if not all(isinstance(name, str) and name in lookup for name in (src, dst)):
             raise ParseError(f"edge {entry!r} references an undeclared node")
         if weight < 1:
             raise ParseError(f"edge {entry!r} must have positive weight")

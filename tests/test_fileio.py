@@ -1,8 +1,11 @@
+import json
 from fractions import Fraction
 from pathlib import Path
+from typing import Any
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
+from test_cli import _population_documents
 
 from rollmix import ROOT, Schema
 from rollmix.fileio import (
@@ -11,15 +14,18 @@ from rollmix.fileio import (
     dump_canonical,
     format_rational,
     format_schema,
+    is_json_int,
     load_population,
     parse_rational,
     parse_schema,
+    population_from_json,
+    population_text,
     population_to_json,
     read_schemata_file,
     save_population,
 )
 from rollmix.fixtures import payoffs_a, population_a, population_b
-from rollmix.model import InvalidPopulationError
+from rollmix.model import InvalidPopulationError, Population, Rollout, StateTag, TaggedState, validate_population
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -100,11 +106,13 @@ class TestPopulationFiles:
         assert pb == population_b()
 
     def test_roundtrip_byte_stable(self, tmp_path):
-        src = (FIXTURES / "P_A.json").read_bytes()
-        p, payoffs = load_population(FIXTURES / "P_A.json")
-        out = tmp_path / "copy.json"
-        save_population(out, p, payoffs)
-        assert out.read_bytes() == src
+        for name in ("P_A.json", "P_B.json"):
+            src = (FIXTURES / name).read_bytes()
+            p, payoffs = load_population(FIXTURES / name)
+            out = tmp_path / name
+            save_population(out, p, payoffs)
+            assert out.read_bytes() == src
+            assert src.decode("utf-8") == dump_canonical(population_to_json(p, payoffs))
 
     def test_truncated_file(self, tmp_path):
         f = tmp_path / "bad.json"
@@ -157,6 +165,129 @@ class TestPopulationFiles:
         text = dump_canonical({"b": 1, "a": 2})
         assert text.index('"a"') < text.index('"b"')
         assert text.endswith("\n")
+
+
+# Labels json must escape (quotes, backslashes, control characters) or may
+# write raw (non-ASCII, U+2028), next to plain ones.
+_LABEL = st.one_of(
+    st.text(min_size=1, max_size=4),
+    st.sampled_from(["f1", "alpha", '"', "\\", "a\"b\\c", "\x00", "\x1f\t\n", "\u2028", "\u00e9t\u00e9", "\U0001d11e"]),
+)
+_PAYOFF_VALUE = st.one_of(
+    st.fractions(),
+    st.integers(-(10**30), 10**30).map(Fraction),
+    st.sampled_from([Fraction(10**30), Fraction(-7, 3), Fraction(0)]),
+)
+
+
+@st.composite
+def _populations_with_payoffs(draw):
+    """A valid population and a payoff map (None, empty, or keyed by its
+    terminals and other labels).  Rollouts share out the drawn states round
+    robin, so rollouts past the last state are stateless."""
+    states = draw(st.lists(st.tuples(st.integers(1, 2**40), _LABEL, st.integers(0, 3)), unique=True, max_size=12))
+    terminals = draw(st.lists(_LABEL, min_size=1, max_size=6, unique=True))
+    rollouts = []
+    for k, terminal in enumerate(terminals):
+        tagged = tuple(TaggedState(cls, StateTag(sym, copy)) for cls, sym, copy in states[k :: len(terminals)])
+        rollouts.append(Rollout(draw(_LABEL), tagged, terminal))
+    labels = st.sampled_from(terminals) | _LABEL
+    payoffs = draw(st.none() | st.dictionaries(labels, _PAYOFF_VALUE, max_size=8))
+    return validate_population(rollouts), payoffs
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(case=_populations_with_payoffs())
+def test_population_text_is_byte_identical_to_json_dumps(case):
+    p, payoffs = case
+    text = population_text(p, payoffs)
+    assert text == json.dumps(population_to_json(p, payoffs), sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    assert population_from_json(json.loads(text)) == (p, dict(payoffs or {}))
+
+
+def _reference_population_from_json(data: Any) -> tuple[Population, dict]:
+    """The loader as it was before it became one pass: a helper per state
+    and one parse_rational call per payoff."""
+
+    def state_from_json(entry: Any, where: str) -> TaggedState:
+        if (
+            not isinstance(entry, list)
+            or len(entry) != 3
+            or not is_json_int(entry[0])
+            or not isinstance(entry[1], str)
+            or not is_json_int(entry[2])
+        ):
+            raise ParseError(f"{where}: state entries are [class, tag, copy] triples, got {entry!r}")
+        try:
+            return TaggedState(entry[0], StateTag(entry[1], entry[2]))
+        except ValueError as exc:
+            raise ParseError(f"{where}: {exc}") from None
+
+    if not isinstance(data, dict) or "rollouts" not in data:
+        raise ParseError("population files are objects with a 'rollouts' list")
+    raw_rollouts = data["rollouts"]
+    if not isinstance(raw_rollouts, list):
+        raise ParseError("'rollouts' must be a list")
+    rollouts: list[Rollout] = []
+    for i, entry in enumerate(raw_rollouts):
+        where = f"rollout {i}"
+        if not isinstance(entry, dict):
+            raise ParseError(f"{where}: must be an object")
+        try:
+            action = entry["action"]
+            terminal = entry["terminal"]
+        except KeyError as exc:
+            raise ParseError(f"{where}: missing field {exc}") from None
+        states = entry.get("states", [])
+        if not isinstance(states, list):
+            raise ParseError(f"{where}: 'states' must be a list")
+        if not isinstance(action, str) or not isinstance(terminal, str):
+            raise ParseError(f"{where}: action and terminal are strings")
+        parsed = tuple(state_from_json(s, where) for s in states)
+        try:
+            rollouts.append(Rollout(action, parsed, terminal))
+        except ValueError as exc:
+            raise ParseError(f"{where}: {exc}") from None
+    raw_payoffs = data.get("payoffs", {})
+    if not isinstance(raw_payoffs, dict):
+        raise ParseError("'payoffs' must be an object")
+    payoffs = {name: parse_rational(value) for name, value in raw_payoffs.items()}
+    population = validate_population(rollouts)
+    return population, payoffs
+
+
+def _outcome(load, data):
+    try:
+        return load(data)
+    except Exception as exc:  # compared by type and message
+        return type(exc), str(exc)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(data=_population_documents())
+def test_loader_agrees_with_the_reference(data):
+    """Valid and malformed documents (bools, huge ints, unhashable payoffs,
+    duplicates): the same population and payoffs, or the same error."""
+    assert _outcome(population_from_json, data) == _outcome(_reference_population_from_json, data)
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"rollouts": [{"action": "a", "states": [[0, "a", 0]], "terminal": "f"}]},
+        {"rollouts": [{"action": "a", "states": [[1, "", 0]], "terminal": "f"}]},
+        {"rollouts": [{"action": "a", "states": [[1, "a", -1]], "terminal": "f"}]},
+        {"rollouts": [{"action": "", "states": [], "terminal": "f"}]},
+        {"rollouts": [{"action": "a", "terminal": ""}]},
+        {"rollouts": [{"action": "a", "terminal": "f"}], "payoffs": {"f": "1/3", "g": "1/3", "h": "1/0"}},
+        {"rollouts": [{"action": "a", "terminal": "f"}], "payoffs": {"f": 2, "g": "2", "h": True, "i": 1.0}},
+        {"rollouts": [{"action": "a", "terminal": "f"}], "payoffs": {"f": [1], "g": {"p": 1}}},
+        {"rollouts": []},
+    ],
+    ids=repr,
+)
+def test_loader_agrees_with_the_reference_on_edge_documents(data):
+    assert _outcome(population_from_json, data) == _outcome(_reference_population_from_json, data)
 
 
 class TestDigraphFiles:
@@ -213,3 +344,27 @@ class TestDigraphFiles:
         for name in ("c\u00b2", "c\u0661"):
             with pytest.raises(ParseError, match="bad class node"):
                 digraph_from_json({"nodes": {"classes": [name]}, "edges": []})
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"nodes": [], "edges": []},
+            {"nodes": {}, "edges": 5},
+            {"nodes": {"actions": 5}, "edges": []},
+            {"nodes": {"classes": "c1"}, "edges": []},
+            {"nodes": {"terminals": [None]}, "edges": []},
+            {"nodes": {"actions": [1]}, "edges": []},
+            {"nodes": {"actions": [""]}, "edges": []},
+            {"nodes": {"actions": ["x"], "terminals": ["x"]}, "edges": [["x", "x", 1]]},
+            {"nodes": {"actions": ["c1"], "classes": ["c1"]}, "edges": []},
+            {"nodes": {"actions": ["a", "a"]}, "edges": []},
+            {"nodes": {"actions": ["a"], "terminals": ["f"]}, "edges": [[["a"], "f", 1]]},
+            {"nodes": {"actions": ["a"], "terminals": ["f"]}, "edges": [["a", {}, 1]]},
+        ],
+        ids=repr,
+    )
+    def test_malformed_nodes_rejected(self, data):
+        from rollmix.fileio import digraph_from_json
+
+        with pytest.raises(ParseError):  # never AttributeError, TypeError or a silent merge
+            digraph_from_json(data)
