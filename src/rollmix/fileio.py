@@ -21,6 +21,8 @@ so reports produced from the same inputs and seeds are byte-identical.
 from __future__ import annotations
 
 import json
+import sys
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from json.encoder import encode_basestring
@@ -71,18 +73,35 @@ def parse_rational(text: Any) -> Fraction:
         raise ParseError(f"bad rational {text!r}: {exc}") from None
 
 
+def _every_digit(convert: Callable[[Any], str], value: Any) -> str:
+    """convert(value), retried with CPython's int-to-str digit limit (none
+    before 3.10.7) lifted only if it fails, and restored; inputs keep it."""
+    try:
+        return convert(value)
+    except ValueError:
+        if not hasattr(sys, "set_int_max_str_digits"):
+            raise
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            return convert(value)
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+
 def format_rational(value: Fraction) -> str:
-    return str(Fraction(value))
+    return _every_digit(str, Fraction(value))
 
 
 def read_input(path: str | Path, parse: Callable[[str], Any] = json.loads) -> Any:
     """Parse a UTF-8 input file (as JSON by default); ParseError if it cannot
-    be read, is not UTF-8 or does not parse, too deep nesting included."""
+    be read, is not UTF-8 or does not parse, too deep nesting and integers
+    past the int-to-str digit limit included."""
     try:
         return parse(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # UnicodeDecodeError and JSONDecodeError too
         raise ParseError(f"{path}: {exc}") from None
 
 
@@ -198,7 +217,7 @@ def population_to_json(p: Population, payoffs: Mapping[TerminalLabel, Fraction] 
 
 
 def dump_canonical(data: Any) -> str:
-    return json.dumps(data, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    return _every_digit(lambda d: json.dumps(d, sort_keys=True, indent=2, ensure_ascii=False), data) + "\n"
 
 
 def population_text(p: Population, payoffs: Mapping[TerminalLabel, Fraction] | None = None) -> str:
@@ -243,7 +262,12 @@ def _node_name(node: tuple) -> str:
 
 
 def digraph_to_json(g) -> dict:
-    """{"nodes": {...}, "edges": [[src, dst, weight], ...]} with stable order."""
+    """{"nodes": {...}, "edges": [[src, dst, weight], ...]} with stable order;
+    ValueError if one label names nodes of two kinds, which the file mixes up."""
+    names = Counter([*g.actions, *g.terminals, *(f"c{i}" for i in g.classes)])
+    shared = sorted(name for name, n in names.items() if n > 1)
+    if shared:
+        raise ValueError(f"label {shared[0]!r} names nodes of two kinds; a digraph file cannot tell them apart")
     edges = sorted(
         (_node_name(src), _node_name(dst), w)
         for src, outs in g.weights.items()

@@ -12,7 +12,7 @@ similarity class and an unordered pair of tags:
 Every such transformation is an involution, so the chain that applies an
 independently sampled transformation per step is a symmetric, aperiodic
 Markov chain whose stationary distribution is uniform over the orbit of
-the initial population.  The orbit oracle enumerates that orbit exactly.
+the initial population.  The orbit oracle computes exact averages over it.
 
 The chain never lists its generators: ``GeneratorView`` decodes a
 generator from its index in (class, tag pair, kind) order, so set-up
@@ -24,29 +24,14 @@ draws (``rng.random()`` against epsilon, then ``rng.randrange`` over the
 generators), so each seed keeps the trajectory of applying
 ``apply_transform`` step by step.
 
-The chain and the oracle share one slot encoding (``_encode_start``): a
-rollout is an integer tuple (action id, terminal token, classes...).  A
-schema compiles once (``_pattern``) into a test on that tuple
-(``_fits``), so both routes count schemata with the same matcher.
+The chain encodes each rollout once (``_encode_start``) as an integer
+tuple (action id, terminal token, classes...) and compiles each schema
+once (``_pattern``) into a test on that tuple (``_fits``).
 
-Enumeration exploits a factorisation: position swaps generate every
-relabelling of same-class tags, those relabellings act freely, and no
-schema can see a tag.  The orbit therefore splits into tag-erased
-canonical classes of identical size ``prod_i n_i!`` (n_i = occurrences of
-class i), and only suffix-crossover moves connect distinct classes.  The
-oracle walks the canonical classes and carries the fiber size exactly,
-which keeps populations with astronomically many reachable tag
-arrangements within reach of exact averaging.
-
-It also quotients by slot order.  A suffix crossover never changes a
-slot's action or first class, and the one at the first states of two
-slots that share both swaps those slots whole, so the orbit holds every
-reordering of the slots within such a group, and no schema can see slot
-order.  The search therefore keeps one sorted shape per reordering class
-together with its weight, the number of tag-erased classes it stands for;
-``n_classes`` is the sum of the weights.  The inflated-population oracle
-is the same search from a start of repeated slots, with each copy family
-of terminals as one token.
+The oracle counts instead of enumerating: tag relabellings act freely and
+no schema sees them, so the orbit is a number of tag-erased classes, each
+of ``prod_i n_i!`` members (the fiber), and the classes are threadings of
+the succession multigraph, counted by one integer determinant.
 """
 
 from __future__ import annotations
@@ -57,10 +42,9 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property
-from itertools import accumulate, combinations
+from itertools import accumulate, groupby
 from math import factorial, isqrt, prod
-from typing import Hashable, Iterable, Iterator, Mapping, Sequence
+from typing import Hashable, Iterable, Mapping, Sequence
 
 from .model import (
     ClassId,
@@ -71,6 +55,7 @@ from .model import (
     TaggedState,
     inflate,
 )
+from .digraph import _bareiss_solve
 from .stats import Frequency
 
 
@@ -269,7 +254,7 @@ class ChainTrace:
 
 # A shape erases tags: one integer tuple per slot, (action id, terminal
 # token, class, class, ...).  Ids number the sorted action and terminal
-# names; an inflated orbit gives each copy family of terminals one token.
+# names.
 EncodedShape = tuple[tuple[int, ...], ...]
 # (action id, lo, hi, values): a slot fits when slot[0] is the action id
 # and slot[lo:hi] equals values; None fits every slot.
@@ -397,78 +382,79 @@ def run_chain(
     return ChainTrace(p0, steps, seed, dict(zip(schemata, totals)), visits)
 
 
-# --- exact orbit enumeration -------------------------------------------------
+# --- exact orbit counts -------------------------------------------------------
 
-# A canonical shape forgets the slot order: its slots are sorted.  No move
-# changes a slot's group (see _group), and the slots of a group can be put
-# in any order, so a canonical shape stands for ``_weight`` shapes of the
-# orbit.
+# With every action source and terminal sink merged into one root r, a
+# stateful slot is a path r -> c_1 .. c_h -> r through the succession
+# multigraph G.  No move changes G, a slot's action and first class, a
+# terminal's last class or a stateless slot.  A block, a set of classes
+# that only one edge of G enters, is passed in one run of one slot that no
+# move changes: moves act at classes two slots share.  With every maximal
+# block contracted, the orbit held every loop-free threading on every
+# population tried: an observation, not a theorem (compare Kotzig 1966 on
+# Euler circuits, Pevzner 1995 on Eulerian paths).
 
-def _suffix_move_images(shape: EncodedShape) -> Iterator[EncodedShape]:
-    """Images of a shape under every suffix-crossover move.
-
-    Position swaps never change a shape, so only suffix swaps at two
-    same-class positions in distinct slots appear here.  Slot layout:
-    index 0 action id, index 1 terminal token, classes from index 2.
-    """
-    positions: dict[int, list[tuple[int, int]]] = {}
-    for slot_index, slot in enumerate(shape):
-        for idx in range(2, len(slot)):
-            positions.setdefault(slot[idx], []).append((slot_index, idx))
-    for cls_positions in positions.values():
-        for (s1, k1), (s2, k2) in combinations(cls_positions, 2):
-            if s1 == s2:
-                continue
-            a = shape[s1]
-            b = shape[s2]
-            new = list(shape)
-            new[s1] = (a[0], b[1]) + a[2:k1] + b[k2:]
-            new[s2] = (b[0], a[1]) + b[2:k2] + a[k1:]
-            yield tuple(new)
+Node = tuple[ClassId, ...]  # a block's run, or (c,) for a class in no block
 
 
-def _group(slot: tuple[int, ...]) -> tuple:
-    """What no move changes in a slot: its action and first class.
+def _runs(paths: Sequence[tuple[ClassId, ...]]) -> dict[ClassId, Node]:
+    """Each class mapped to the run of its maximal block, or to (c,): a
+    block is a stretch of a slot holding every occurrence of its classes."""
+    occurrences = Counter(c for path in paths for c in path)
+    runs: dict[ClassId, Node] = {}
+    for path in paths:
+        i = 0
+        while i < len(path):
+            end, seen, total = i + 1, set(), 0
+            for j in range(i, len(path)):
+                if path[j] not in seen:
+                    seen.add(path[j])
+                    total += occurrences[path[j]]
+                if total == j + 1 - i:
+                    end = j + 1
+            runs.update(dict.fromkeys(path[i:end], path[i:end]))
+            i = end
+    return runs
 
-    Suffix crossover keeps both, and the one at the first states of two
-    slots of one group swaps those slots whole.  A stateless slot never
-    moves, so it is a group of its own.
-    """
-    return (slot[0], slot[2]) if len(slot) > 2 else (slot,)
+
+def _contract(classes: tuple[ClassId, ...], runs: Mapping[ClassId, Node]) -> tuple[list[Node], bool] | None:
+    """A class path as nodes of the contracted graph, and whether it stops
+    inside a run; None if it enters a block other than along its run."""
+    nodes: list[Node] = []
+    i = 0
+    while i < len(classes):
+        run = runs.get(classes[i], (classes[i],))
+        if classes[i : i + len(run)] != run[: len(classes) - i]:
+            return None
+        nodes.append(run)
+        i += len(run)
+    return nodes, i > len(classes)
 
 
-def _weight(shape: EncodedShape) -> int:
-    """Distinct slot orders of a shape that keep every slot in its group:
-    prod over groups of |g|!, over the factorials of repeated slots."""
-    return _arrangements(map(_group, shape)) // _arrangements(shape)
-
-
-def _canonical_shapes(start: EncodedShape, fiber: int, cap: int) -> dict[EncodedShape, int]:
-    """Breadth-first closure of start under suffix moves, as canonical
-    shapes and their weights.
-
-    Raises OrbitCapExceeded as soon as the weights found so far times the
-    fiber exceed ``cap``, so it trips exactly when the orbit is too large.
-    """
-    weights: dict[EncodedShape, int] = {}
-    total = 0
-    images: Iterator[EncodedShape] = iter((start,))
-    while True:
-        frontier = []
-        for image in images:
-            shape = tuple(sorted(image))
-            if shape not in weights:
-                weights[shape] = _weight(shape)
-                total += weights[shape]
-                if total * fiber > cap:
-                    raise OrbitCapExceeded(
-                        f"orbit size exceeds cap {cap} "
-                        f"({total} tag-erased classes found so far, {fiber} populations each)"
-                    )
-                frontier.append(shape)
-        if not frontier:
-            return weights
-        images = (image for shape in frontier for image in _suffix_move_images(shape))
+def _threadings(edges: Mapping[tuple[Node, Node], int], exits: Mapping[Node, int]) -> int:
+    """Loop-free threadings (parallel edges told apart; ``exits[v]`` edges
+    run from v into the root): t_r(G) * prod_v (d_v - 1)! by the BEST and
+    matrix-tree theorems, or 0 if a node cannot reach the root, so the
+    solver only ever sees a nonsingular M-matrix."""
+    degree = Counter(exits)
+    into: dict[Node, list[Node]] = {}
+    for (u, v), w in edges.items():
+        if w:
+            degree[u] += w
+            into.setdefault(v, []).append(u)
+    nodes = [v for v, d in degree.items() if d]
+    seen = {v for v, w in exits.items() if w}
+    todo = list(seen)
+    while todo:
+        for u in into.get(todo.pop(), ()):
+            if u not in seen:
+                seen.add(u)
+                todo.append(u)
+    if len(seen) < len(nodes):
+        return 0
+    # Row v: d_v on the diagonal less w_vu, with a zero right-hand side.
+    matrix = [[degree[v] * (u == v) - edges.get((v, u), 0) for u in nodes] + [0] for v in nodes]
+    return _bareiss_solve(matrix)[0] * prod(factorial(degree[v] - 1) for v in nodes)
 
 
 def _class_fiber(p: Population) -> int:
@@ -476,33 +462,64 @@ def _class_fiber(p: Population) -> int:
     return _arrangements(s.cls for _, _, s in p.states())
 
 
-def _shape_frequency(o: OrbitSet, h: Schema) -> Frequency:
-    """Weighted mean of (slots fitting the schema)/b over canonical shapes."""
-    pattern = _pattern(h, o.action_names, o.terminal_names)
-    total = sum(weight for slot, weight in o._slot_weights.items() if _fits(pattern, slot))
-    return Fraction(total, o.n_classes * o.b)
+def _fixed_data(p: Population) -> tuple:
+    """What no move changes: slot actions and first classes (stateless slots
+    whole), tagged states, successions and block runs."""
+    return (
+        [(r.action, r.states[0].cls) if r.states else (r.action, r.terminal) for r in p.rollouts],
+        sorted(s for _, _, s in p.states()),
+        Counter(pair for r in p.rollouts for pair in zip(r.classes, (*r.classes[1:], r.terminal))),
+        set(_runs([r.classes for r in p.rollouts if r.states]).values()),
+    )
+
+
+def _frequency(o: OrbitSet, h: Schema) -> Frequency:
+    """Exact orbit mean of (slots fitting h)/b: the slots of h's (action,
+    first class) times the share of threadings in which one of them follows
+    h's path, whose edges (and a terminal tail's, which stands for its
+    token) leave the graph, times the ordered choices of parallel edges."""
+    if h.is_root:
+        return Fraction(1)
+    if not h.classes and h.wildcard_tail:  # no move changes a slot's action
+        return Fraction(sum(n for (a, _), n in o.heads.items() if a == h.action), o.b)
+    if not h.classes:  # nor a stateless slot
+        return Fraction(o.heads.get((h.action, h.tail), 0), o.b)  # type: ignore[arg-type]
+    ways = o.heads.get((h.action, h.classes[0]), 0)
+    contracted = _contract(h.classes, o.runs) if ways else None
+    if contracted is None:
+        return Fraction(0)
+    nodes, inside = contracted
+    if h.wildcard_tail and len(nodes) == 1:
+        return Fraction(ways, o.b)  # nor a first class, nor the run it starts
+    edges, exits = dict(o.edges), dict(o.exits)
+    for step in zip(nodes, nodes[1:]):
+        ways *= edges.get(step, 0)
+        if not ways:
+            return Fraction(0)
+        edges[step] -= 1
+    if not h.wildcard_tail:
+        last, family = o.ends.get(h.tail, (None, 0))  # type: ignore[arg-type]
+        if inside or last != nodes[-1]:
+            return Fraction(0)
+        ways *= family
+        exits[last] -= 1
+    return Fraction(ways * _threadings(edges, exits), o.threadings * o.b)
 
 
 @dataclass(frozen=True)
 class OrbitSet:
-    """The reachable set of populations, held as weighted canonical shapes.
-
-    ``n_classes`` counts the tag-erased classes, the sum of the weights,
-    and ``size = n_classes * fiber`` is the exact number of reachable
-    populations: every relabelling of same-class tags is reachable,
-    distinct, and invisible to schema statistics.
-
-    A terminal token may stand for several terminal labels, all
-    interchangeable: ``enumerate_inflated_orbit`` gives the copies of a
-    base terminal one token, and the fiber counts their relabellings.
-    """
+    """The reachable populations, as counts.  ``n_classes``, the tag-erased
+    classes, is the loop-free threadings of the contracted graph over prod
+    w_uv! and the relabellings of each terminal token; ``size = n_classes *
+    fiber`` is the exact number of reachable populations."""
 
     initial: Population
-    start: EncodedShape  # the initial population, slot by slot
-    encoded: tuple[EncodedShape, ...]  # canonical shapes, ascending
-    weights: tuple[int, ...]
-    action_names: tuple[str, ...]
-    terminal_names: tuple[str, ...]  # by token; a copy family's base label
+    heads: Mapping[tuple[str, ClassId | str], int]  # slots by action and first class, or stateless token
+    runs: Mapping[ClassId, Node]  # class -> its block's run, or (c,)
+    ends: Mapping[str, tuple[Node, int]]  # stateful token's name -> (last node, labels)
+    edges: Mapping[tuple[Node, Node], int]  # w_uv of the contracted graph
+    exits: Mapping[Node, int]  # edges from a node into the root
+    threadings: int
     fiber: int
     n_classes: int
 
@@ -515,95 +532,60 @@ class OrbitSet:
         return self.n_classes * self.fiber
 
     def family_frequency(self, h: Schema) -> Frequency:
-        """Exact orbit mean of (rollouts fitting h)/b, where h's terminal
-        stands for every label of its token (its whole copy family)."""
-        return _shape_frequency(self, h)
-
-    @cached_property
-    def _slot_weights(self) -> dict[tuple[int, ...], int]:
-        # Each distinct slot with its weight summed over the canonical shapes.
-        totals: dict[tuple[int, ...], int] = {}
-        for shape, weight in zip(self.encoded, self.weights):
-            for slot in shape:
-                totals[slot] = totals.get(slot, 0) + weight
-        return totals
-
-    @cached_property
-    def _lookup(self) -> tuple[tuple[str, ...], tuple[int, ...], list[tuple], frozenset[EncodedShape]]:
-        labels, tokens = zip(*sorted(zip(self.initial.terminals(), (slot[1] for slot in self.start))))
-        return labels, tokens, [_group(slot) for slot in self.start], frozenset(self.encoded)
+        """Exact orbit mean of (rollouts fitting h)/b, h's terminal standing
+        for every label of its token (its whole copy family)."""
+        return _frequency(self, h)
 
     def contains(self, p: Population) -> bool:
-        labels, tokens, groups, members = self._lookup
-        start, action_names, terminal_names = _encode_start(p)
-        if action_names != self.action_names or terminal_names != labels:
-            return False
-        encoded = [(slot[0], tokens[slot[1]]) + slot[2:] for slot in start]
-        return [_group(slot) for slot in encoded] == groups and tuple(sorted(encoded)) in members
+        """Membership, by the observation above: the initial fixed data."""
+        return _fixed_data(p) == _fixed_data(self.initial)
 
 
-# The inflated orbit is the same weighted orbit, started from copies.
+# The inflated orbit is the same orbit, counted from copies.
 InflatedOrbit = OrbitSet
 
 
-def _orbit(
-    initial: Population,
-    start: EncodedShape,
-    action_names: tuple[str, ...],
-    terminal_names: tuple[str, ...],
-    cap: int,
-) -> OrbitSet:
-    # Relabellings of same-class tags and of a token's terminals.
-    fiber = _class_fiber(initial) * _arrangements(slot[1] for slot in start)
-    if fiber > cap:
-        raise OrbitCapExceeded(f"orbit size is at least {fiber}, cap {cap}")
-    weights = _canonical_shapes(start, fiber, cap)
-    encoded = tuple(sorted(weights))
-    return OrbitSet(
-        initial,
-        start,
-        encoded,
-        tuple(weights[shape] for shape in encoded),
-        action_names,
-        terminal_names,
-        fiber,
-        sum(weights.values()),
-    )
+def _orbit(initial: Population, slots: Sequence[tuple[str, tuple[ClassId, ...], str]], cap: int) -> OrbitSet:
+    """The orbit from each slot's action, classes and terminal token, a label
+    or a copy family; the fiber counts the relabellings within tokens too."""
+    heads = Counter((action, classes[0] if classes else token) for action, classes, token in slots)
+    runs = _runs([classes for _, classes, _ in slots if classes])
+    edges: Counter[tuple[Node, Node]] = Counter()
+    exits: Counter[Node] = Counter()
+    ends: dict[str, tuple[Node, int]] = {}
+    for _, classes, token in slots:
+        if classes:
+            nodes = _contract(classes, runs)[0]  # type: ignore[index]
+            edges.update(zip(nodes, nodes[1:]))
+            exits[nodes[-1]] += 1
+            ends[token] = (nodes[-1], ends.get(token, ((), 0))[1] + 1)
+    threadings = _threadings(edges, exits)
+    relabellings = _arrangements(token for _, _, token in slots)
+    n_classes = threadings // (prod(map(factorial, edges.values())) * relabellings)
+    fiber = _class_fiber(initial) * relabellings
+    if n_classes * fiber > cap:  # str() fails on ints past 4300 digits
+        size = n_classes * fiber
+        raise OrbitCapExceeded(f"orbit size {size} exceeds cap {cap}" if size < 10**4000 else "orbit size exceeds cap")
+    return OrbitSet(initial, heads, runs, ends, edges, exits, threadings, fiber, n_classes)
 
 
 def enumerate_orbit(p0: Population, cap: int = 10**6) -> OrbitSet:
-    """Breadth-first closure of the initial population under all generators.
-
-    Raises OrbitCapExceeded as soon as the exact orbit size would exceed
-    ``cap``.  Memory grows only with the number of canonical shapes.
-    """
-    return _orbit(p0, *_encode_start(p0), cap)
+    """The orbit of the initial population under all generators, counted;
+    OrbitCapExceeded when its exact size exceeds ``cap``."""
+    return _orbit(p0, [(r.action, r.classes, r.terminal) for r in p0.rollouts], cap)
 
 
 def orbit_frequency(o: OrbitSet, h: Schema) -> Frequency:
     """Exact mean of (matching rollouts)/b over the whole orbit."""
-    return _shape_frequency(o, h)
+    return _frequency(o, h)
 
 
 def enumerate_inflated_orbit(p0: Population, m: int, cap: int = 10**6) -> OrbitSet:
-    """Exact orbit of inflate(p0, m), canonical in tags and copy families.
-
-    Inflation copies carry fresh terminal labels, but every relabelling
-    within one copy family is reachable (copies share their class
-    sequences, so a last-state suffix swap plus a free tag relabelling
-    exchanges any two family terminals) and acts freely, exactly like tag
-    relabellings.  So the copies of a base terminal share one token, and a
-    schema of the base population is transported to the inflated one by
-    letting its terminal stand for the whole copy family.
-
-    Requires every rollout of p0 to have at least one state: a stateless
-    rollout's terminal can never move, so its copies would not be
-    interchangeable and the family quotient would overcount.
-    """
+    """Exact orbit of inflate(p0, m).  Relabellings within a copy family of
+    terminals are reachable and act freely, so a family is one token, which
+    a base schema's terminal stands for; p0 needs a state in every rollout,
+    since a stateless rollout's terminal never moves."""
     if any(r.height == 0 for r in p0.rollouts):
         raise ValueError("family quotient needs every rollout to carry a state")
-    base, action_names, family_names = _encode_start(p0)
-    # Slot i*m + c of the inflated population is copy c of base rollout i,
-    # which shares its action, classes and terminal family.
-    start = tuple(slot for slot in base for _ in range(m))
-    return _orbit(inflate(p0, m), start, action_names, family_names, cap)
+    # Slot i*m + c of inflate(p0, m) is copy c of base rollout i.
+    return _orbit(inflate(p0, m), [(r.action, r.classes, r.terminal) for r in p0.rollouts for _ in range(m)], cap)

@@ -30,6 +30,7 @@ from .recombine import (
     ChainTrace,
     OrbitCapExceeded,
     _class_fiber,
+    _fixed_data,
     OrbitSet,
     TransformDistribution,
     apply_transform,
@@ -61,29 +62,21 @@ def _timed(name: str, fn: Callable[[], tuple[bool, str]]) -> CheckResult:
     return CheckResult(name, passed, detail, time.perf_counter() - start)
 
 
-def _population_signature(p: Population):
-    return (
-        p.b,
-        sorted((s.cls, s.tag) for _, _, s in p.states()),
-        sorted(p.terminals()),
-        p.actions(),
-    )
-
-
 def check_involution_conservation(seed: int = 101, populations: int = 1000) -> CheckResult:
-    """g(g(p)) = p and conservation of size, states, terminals, actions."""
+    """g(g(p)) = p, and g keeps the orbit oracle's fixed data: slot actions
+    and first classes, states, terminals, successions and block runs."""
 
     def run() -> tuple[bool, str]:
         rng = random.Random(seed)
         checked = 0
         for _ in range(populations):
             p = random_population(rng, allow_stateless=True)
-            before = _population_signature(p)
+            before = _fixed_data(p)
             for g in generator_index(p):
                 q = apply_transform(p, g)
                 if apply_transform(q, g) != p:
                     return False, f"involution broken by {g} on {p}"
-                if _population_signature(q) != before:
+                if _fixed_data(q) != before:
                     return False, f"conservation broken by {g} on {p}"
                 checked += 1
         return True, f"{populations} populations, {checked} generator applications"

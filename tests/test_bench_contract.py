@@ -42,3 +42,28 @@ def test_every_traced_boundary_resolves_and_is_restored():
         recorder.uninstall()
     assert [name for name, fn in patched.items() if fn is originals[name]] == []
     assert {b.name: _resolve(b) for b in tracing.BOUNDARIES} == originals
+
+
+def test_orbit_calls_pass_through_the_traced_boundaries(capsys):
+    # A refactor that routes the orbit oracle around these functions would
+    # hide its cost from the per-layer metrics.
+    import rollmix.recombine as recombine  # calls through its patched globals
+    from rollmix.cli import dispatch
+    from rollmix.fixtures import population_b
+    from rollmix.model import Schema
+
+    fixture = Path(__file__).resolve().parent / "fixtures" / "P_A.json"
+    recorder = _load_tracing().Recorder()
+    recorder.install()
+    try:
+        assert dispatch(["orbit", "--pop", str(fixture), "--schema", "alpha,1,2,f1", "--schema", "#"]) == 0
+        cli_spans = [span[3] for span in recorder.spans]
+        orbit = recombine.enumerate_inflated_orbit(population_b(), 2, cap=10**9)
+        orbit.family_frequency(Schema("alpha", (1, 2), "f1"))
+    finally:
+        recorder.uninstall()
+    capsys.readouterr()
+    assert cli_spans.count("recombine.enumerate_orbit") == 1
+    assert cli_spans.count("recombine.orbit_frequency") == 2
+    inflated_spans = [span[3] for span in recorder.spans[len(cli_spans):]]
+    assert inflated_spans == ["recombine.enumerate_inflated_orbit", "recombine.InflatedOrbit.family_frequency"]

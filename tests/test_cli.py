@@ -9,9 +9,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from rollmix import __version__
+from rollmix import Rollout, __version__, build_digraph, exact_expected_payoff, state, validate_population
 from rollmix.cli import dispatch
-from rollmix.fileio import dump_canonical
+from rollmix.fileio import dump_canonical, save_population
+from rollmix.model import tag_symbol
 from rollmix.verify import CheckResult
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -436,6 +437,35 @@ class TestEval:
         assert float(gamma["stddev"]) == pytest.approx(float(variance) ** 0.5 * 1e200, rel=1e-11)
         assert float(gamma["q"]) == float(gap / n) * 1e200
 
+    def test_every_digit_of_a_long_oracle_is_written(self, capsys, tmp_path):
+        # 1,200 payoffs 1/p over distinct 5-digit primes: the exact values'
+        # denominators run past CPython's 4300-digit int-to-str limit.
+        sieve = bytearray([1]) * 100_000
+        for n in range(2, 317):
+            if sieve[n]:
+                sieve[n * n :: n] = bytearray(len(range(n * n, 100_000, n)))
+        primes = [n for n in range(10_000, 100_000) if sieve[n]][:1200]
+        rollouts = [
+            Rollout("ab"[i % 2], (state(1 + i % 3, tag_symbol(i)), state(1 + i * 7 % 3, tag_symbol(1200 + i))), f"f{i}")
+            for i in range(1200)
+        ]
+        p, payoffs = validate_population(rollouts), {f"f{i}": Fraction(1, q) for i, q in enumerate(primes)}
+        pop, out = tmp_path / "pop.json", tmp_path / "eval.json"
+        save_population(pop, p, payoffs)
+        limit = sys.get_int_max_str_digits()
+        code, _, err = run(capsys, "eval", "--pop", str(pop), "--walks", "10", "--seed", "1", "--out", str(out))
+        assert code == 0, err
+        assert sys.get_int_max_str_digits() == limit
+        texts = {a: entry["oracle"] for a, entry in json.loads(out.read_text())["outputs"]["actions"].items()}
+        assert min(map(len, texts.values())) > 4300
+        sys.set_int_max_str_digits(0)
+        try:
+            oracle = {a: Fraction(text) for a, text in texts.items()}
+        finally:
+            sys.set_int_max_str_digits(limit)
+        graph = build_digraph(p)
+        assert oracle == {a: exact_expected_payoff(graph, a, payoffs) for a in "ab"}
+
 
 class TestGen:
     def test_generates_valid_population_file(self, capsys, tmp_path):
@@ -472,6 +502,9 @@ BAD_POPULATIONS = {
     "payoffs": '{"rollouts": [{"action": "a", "states": [[1, "a", 0]], "terminal": "f"}], "payoffs": [1]}',
     "state_bool": '{"rollouts": [{"action": "a", "states": [[true, "x", false]], "terminal": "f"}], "payoffs": {"f": "1"}}',
     "payoff_bool": '{"rollouts": [{"action": "a", "states": [[1, "a", 0]], "terminal": "f"}], "payoffs": {"f": true}}',
+    # A class id past CPython's int-to-str digit limit: json.loads raises
+    # a plain ValueError.
+    "huge_class": '{"rollouts": [{"action": "a", "states": [[1' + "0" * 4999 + ', "a", 0]], "terminal": "f"}]}',
 }
 
 
@@ -520,6 +553,7 @@ def _boundary_argv(tmp_path, kind, which):
         ("payoffs", 2),
         ("state_bool", 2),
         ("payoff_bool", 2),
+        ("huge_class", 2),
         (["--workers", "0"], 1),
         (["--workers", "-3"], 1),
         (["--cap", "0"], 1),

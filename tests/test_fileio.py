@@ -331,6 +331,20 @@ class TestDigraphFiles:
             for node, outs in g.weights.items():
                 assert g.out_weight(node) == loaded.out_weight(node) == sum(outs.values())
 
+    def test_writer_rejects_a_label_of_two_kinds(self):
+        # The file names actions and terminals by label and classes as
+        # "c<id>", so "x" (action and terminal) and "c1" (action and class
+        # 1) would each name two nodes; the loader rejects such a file.
+        from rollmix import build_digraph, state
+        from rollmix.fileio import digraph_to_json
+
+        p = validate_population([Rollout("x", (state(1, "a"),), "x"), Rollout("c1", (), "f")])
+        with pytest.raises(ValueError, match="'c1' names nodes of two kinds"):
+            digraph_to_json(build_digraph(p))
+        p = validate_population([Rollout("x", (state(1, "a"),), "x")])
+        with pytest.raises(ValueError, match="'x' names nodes of two kinds"):
+            digraph_to_json(build_digraph(p))
+
     def test_bad_edge_rejected(self):
         from rollmix.fileio import digraph_from_json
 

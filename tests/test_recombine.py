@@ -16,7 +16,7 @@ from rollmix import (
     state,
     validate_population,
 )
-from rollmix.fixtures import population_a, population_b, random_population
+from rollmix.fixtures import population_a, population_b, random_homologous_population, random_population
 from rollmix.recombine import (
     IDENTITY,
     OrbitCapExceeded,
@@ -30,16 +30,17 @@ from rollmix.recombine import (
     enumerate_orbit,
     generator_index,
     orbit_frequency,
+    _arrangements,
     _class_fiber,
     _encode_start,
     _fits,
     _pattern,
-    _suffix_move_images,
     _unrank_pair,
     run_chain,
 )
+from rollmix.envsim import SimConfig, generate_population, make_random_pomdp
 from rollmix.model import match_parts, schema_count
-from rollmix.stats import down_report
+from rollmix.stats import down_report, limiting_frequency_from_report
 from rollmix.verify import _candidate_schemata
 
 
@@ -244,8 +245,8 @@ class TestRunChain:
 
 
 def test_slot_matcher_counts_what_schema_count_counts():
-    # The chain and the orbit oracle match schemata on encoded slots; the
-    # plain-object matcher behind schema_count is the independent reference.
+    # The chain and the orbit reference search match schemata on encoded
+    # slots; the plain-object matcher behind schema_count is the reference.
     rng = random.Random(41)
     for n in range(200):
         p = random_population(
@@ -401,6 +402,33 @@ class TestOrbit:
             total = sum(schema_count(h, member) for member in members)
             assert orbit_frequency(o, h) == Fraction(total, o.size * p.b)
 
+    def test_a_block_keeps_its_run(self):
+        # Classes 2 and 3 are entered only from the root: the one slot that
+        # passes them keeps 2,3,2,2, though 2,2,3,2 threads G as well.
+        p = validate_population(
+            [Rollout("a", (state(1, "a"),), "f1"), Rollout("a", (state(1, "b"), state(1, "c")), "f2"),
+             Rollout("b", (state(2, "a"), state(3, "a"), state(2, "b"), state(2, "c")), "f3")]
+        )
+        o = enumerate_orbit(p)
+        assert o.n_classes == 4 == len(_population_level_orbit(p)) // o.fiber
+        assert orbit_frequency(o, Schema("b", (2, 3, 2, 2), "f3")) == Fraction(1, 3)
+        assert orbit_frequency(o, Schema("b", (2, 2), "#")) == 0
+        assert o.contains(p)
+        moved = Rollout("b", (state(2, "a"), state(2, "b"), state(3, "a"), state(2, "c")), "f3")
+        assert not o.contains(Population(p.rollouts[:2] + (moved,)))
+
+    def test_infeasible_prefix_counts_zero(self):
+        # Fixing a,1,2,1 leaves the 2 -> 2 loop cut off from the root: no
+        # threading remains, and the count is 0 before any elimination.
+        p = validate_population(
+            [Rollout("a", (state(1, "a"), state(2, "a"), state(2, "b"), state(1, "b")), "f1")]
+        )
+        o = enumerate_orbit(p)
+        assert o.n_classes == 1
+        assert orbit_frequency(o, Schema("a", (1, 2, 1), "#")) == 0
+        assert orbit_frequency(o, Schema("a", (1, 2, 2, 1), "#")) == 1
+        assert orbit_frequency(o, Schema("a", (1, 2, 2, 1), "f1")) == 1
+
 
 class TestInflatedOrbit:
     def test_matches_plain_oracle_when_feasible(self):
@@ -446,6 +474,15 @@ class TestInflatedOrbit:
             assert len(members) == quotient.size == enumerate_orbit(inflate(p, m), cap=10**9).size
             assert all(quotient.contains(member) for member in members)
 
+    @pytest.mark.parametrize("m", [*range(1, 13), 20, 40, 80])
+    def test_loop_fixture_family_value_in_closed_form(self, m):
+        # G has d_1 = d_2 = 2m and reduced Laplacian [[2m, -m], [-m, 2m]]
+        # (determinant 3m^2); fixing alpha's path leaves 3m^2 - 3m + 1.
+        o = enumerate_inflated_orbit(population_b(), m, cap=10**2000)
+        expected = Fraction(3 * m * m - 3 * m + 1, 6 * (2 * m - 1) ** 2)
+        assert o.family_frequency(Schema("alpha", (1, 2), "f1")) == expected
+        assert expected == Fraction(1, 8) + Fraction(1, 24 * (2 * m - 1) ** 2)
+
 
 def _population_level_orbit(p):
     """Plain breadth-first closure over whole populations, no quotienting.
@@ -482,6 +519,26 @@ def test_quotient_orbit_agrees_with_population_level_bfs(fixture):
     assert orbit_frequency(o, h) == Fraction(total, len(plain) * p.b)
 
 
+def test_membership_matches_population_level_bfs():
+    # Members and their slot reorderings: a reordering is a member exactly
+    # when the plain search reached it.
+    rng = random.Random(43)
+    for n in range(60):
+        p = random_population(rng, min_b=2, max_b=4, max_height=4, max_classes=2, allow_stateless=n % 2 == 0)
+        try:
+            o = enumerate_orbit(p, cap=400)
+        except OrbitCapExceeded:
+            continue
+        members = _population_level_orbit(p)
+        assert o.size == len(members)
+        for member in rng.sample(sorted(members, key=str), min(5, len(members))):
+            assert o.contains(member)
+            shuffled = list(member.rollouts)
+            rng.shuffle(shuffled)
+            q = Population(tuple(shuffled))
+            assert o.contains(q) == (q in members)
+
+
 def test_family_quotient_on_another_base_population():
     p = validate_population(
         [
@@ -498,6 +555,87 @@ def test_family_quotient_on_another_base_population():
         quotient = enumerate_inflated_orbit(p, m, cap=10**12)
         assert quotient.size == plain.size
         assert quotient.family_frequency(target) == summed
+
+
+# --- the reference search ------------------------------------------------------
+#
+# The breadth-first search over tag-erased shapes that the counting oracle
+# replaced, kept as its reference.  A shape is a tuple of encoded slots
+# (action id, terminal token, classes...).  A canonical shape sorts its
+# slots: no move changes a slot's group (see _group), and the slots of a
+# group can be put in any order, so a canonical shape stands for
+# ``_weight`` shapes of the orbit.
+
+
+def _suffix_move_images(shape):
+    """Images of a shape under every suffix-crossover move.
+
+    Position swaps never change a shape, so only suffix swaps at two
+    same-class positions in distinct slots appear here.
+    """
+    positions = {}
+    for slot_index, slot in enumerate(shape):
+        for idx in range(2, len(slot)):
+            positions.setdefault(slot[idx], []).append((slot_index, idx))
+    for cls_positions in positions.values():
+        for (s1, k1), (s2, k2) in combinations(cls_positions, 2):
+            if s1 == s2:
+                continue
+            a, b = shape[s1], shape[s2]
+            new = list(shape)
+            new[s1] = (a[0], b[1]) + a[2:k1] + b[k2:]
+            new[s2] = (b[0], a[1]) + b[2:k2] + a[k1:]
+            yield tuple(new)
+
+
+def _group(slot):
+    """What no move changes in a slot: its action and first class.  A
+    stateless slot never moves, so it is a group of its own."""
+    return (slot[0], slot[2]) if len(slot) > 2 else (slot,)
+
+
+def _weight(shape):
+    """Distinct slot orders of a shape that keep every slot in its group:
+    prod over groups of |g|!, over the factorials of repeated slots."""
+    return _arrangements(map(_group, shape)) // _arrangements(shape)
+
+
+def _canonical_shapes(start, fiber, cap):
+    """Breadth-first closure of start under suffix moves, as canonical
+    shapes and their weights; OrbitCapExceeded as soon as the weights
+    found so far times the fiber exceed ``cap``."""
+    weights = {}
+    total = 0
+    images = iter((start,))
+    while True:
+        frontier = []
+        for image in images:
+            shape = tuple(sorted(image))
+            if shape not in weights:
+                weights[shape] = _weight(shape)
+                total += weights[shape]
+                if total * fiber > cap:
+                    raise OrbitCapExceeded(f"orbit size exceeds cap {cap}")
+                frontier.append(shape)
+        if not frontier:
+            return weights
+        images = (image for shape in frontier for image in _suffix_move_images(shape))
+
+
+def _reference_orbit(start, fiber, cap):
+    """(tag-erased classes, weight summed per distinct slot) by the search."""
+    weights = _canonical_shapes(start, fiber, cap)
+    slot_weights = Counter()
+    for shape, weight in weights.items():
+        for slot in shape:
+            slot_weights[slot] += weight
+    return sum(weights.values()), slot_weights
+
+
+def _reference_frequency(reference, names, b, h):
+    n_classes, slot_weights = reference
+    pattern = _pattern(h, *names)
+    return Fraction(sum(w for slot, w in slot_weights.items() if _fits(pattern, slot)), n_classes * b)
 
 
 def _reference_bfs_shapes(start, fiber, cap):
@@ -518,15 +656,16 @@ def _reference_bfs_shapes(start, fiber, cap):
     return sorted(seen)
 
 
-def _assert_matches_reference(o, start):
+def _assert_matches_reference(o, start, action_names, terminal_names):
     shapes = _reference_bfs_shapes(start, o.fiber, o.size)
-    assert sum(o.weights) == o.n_classes == len(shapes)
+    assert o.n_classes == len(shapes)
     assert o.size == len(shapes) * o.fiber
     slots = Counter(slot for shape in shapes for slot in shape)
-    decoded = {s: (o.action_names[s[0]], s[2:], o.terminal_names[s[1]]) for s in slots}
+    decoded = {s: (action_names[s[0]], s[2:], terminal_names[s[1]]) for s in slots}
     schemata = {ROOT}
     for action, classes, terminal in decoded.values():
         schemata |= {Schema(action, (), "#"), Schema(action, classes[:1], "#"), Schema(action, classes, terminal)}
+        schemata |= {Schema(action, classes[:k], "#") for k in range(2, len(classes) + 1)}
     for h in schemata:
         fits = sum(n for s, n in slots.items() if match_parts(h, *decoded[s]))
         expected = Fraction(fits, len(shapes) * o.b)
@@ -540,8 +679,8 @@ def test_weighted_orbit_matches_unquotiented_search():
         p = random_population(
             rng, min_b=3, max_b=7, max_classes=rng.choice([3, 4, 6]), allow_stateless=compared % 2 == 0
         )
-        start = _encode_start(p)[0]
-        # Both searches must trip the same cap; only the orbits within it are compared.
+        start, *names = _encode_start(p)
+        # Both routes must trip the same cap; only the orbits within it are compared.
         cap = 500 * _class_fiber(p)
         try:
             o = enumerate_orbit(p, cap=cap)
@@ -549,14 +688,89 @@ def test_weighted_orbit_matches_unquotiented_search():
             with pytest.raises(OrbitCapExceeded):
                 _reference_bfs_shapes(start, _class_fiber(p), cap)
             continue
-        _assert_matches_reference(o, start)
+        _assert_matches_reference(o, start, *names)
         compared += 1
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5])
 def test_weighted_inflated_orbit_matches_unquotiented_search(m):
-    start = tuple(slot for slot in _encode_start(population_b())[0] for _ in range(m))
-    _assert_matches_reference(enumerate_inflated_orbit(population_b(), m, cap=10**40), start)
+    base, *names = _encode_start(population_b())
+    start = tuple(slot for slot in base for _ in range(m))
+    _assert_matches_reference(enumerate_inflated_orbit(population_b(), m, cap=10**40), start, *names)
+
+
+def _agreement_population(rng, n):
+    # Non-homologous draws, every other one with stateless rollouts, and
+    # now and then a homologous one.  Rollouts up to 6 states long revisit
+    # classes, which makes blocks: class sets that one slot alone passes.
+    if n % 5 == 4:
+        return random_homologous_population(rng, min_b=2, max_b=5, max_classes=4)
+    return random_population(
+        rng, min_b=1, max_b=5, max_height=rng.choice([3, 4, 6]), max_classes=rng.choice([2, 3, 4]),
+        allow_stateless=n % 2 == 0,
+    )
+
+
+@pytest.mark.parametrize("block", range(4))
+def test_counts_and_schemata_agree_with_reference_search(block):
+    # 4 x 260 populations; every schema to height 3 and every prefix of a
+    # rollout, infeasible prefixes, stateless and missing actions, classes
+    # and terminals included.
+    rng = random.Random(1300 + block)
+    compared = 0
+    while compared < 260:
+        p = _agreement_population(rng, compared)
+        start, *names = _encode_start(p)
+        fiber = _class_fiber(p)
+        cap = 2000 * fiber
+        try:
+            o = enumerate_orbit(p, cap=cap)
+        except OrbitCapExceeded:
+            with pytest.raises(OrbitCapExceeded):
+                _canonical_shapes(start, fiber, cap)
+            continue
+        reference = _reference_orbit(start, fiber, cap)
+        assert (o.n_classes, o.fiber) == (reference[0], fiber)
+        misses = [Schema("omega", (1,), "#"), Schema(p.rollouts[0].action, (9,), "#"),
+                  Schema(p.rollouts[0].action, (1, 2), "nowhere")]
+        prefixes = [Schema(r.action, r.classes[:k], tail) for r in p.rollouts
+                    for k in range(4, r.height + 1) for tail in ("#", r.terminal)]
+        for h in _candidate_schemata(p, 3) + prefixes + misses:
+            assert orbit_frequency(o, h) == _reference_frequency(reference, names, p.b, h), (h, p)
+        compared += 1
+
+
+def test_inflated_counts_agree_with_reference_search():
+    rng = random.Random(47)
+    for _ in range(40):
+        p0 = random_population(rng, min_b=1, max_b=3, max_height=2, max_classes=2)
+        m = rng.choice([2, 3])
+        base, action_names, family_names = _encode_start(p0)
+        start = tuple(slot for slot in base for _ in range(m))
+        o = enumerate_inflated_orbit(p0, m, cap=10**30)
+        reference = _reference_orbit(start, o.fiber, 10**30)
+        assert o.n_classes == reference[0]
+        for h in _candidate_schemata(p0, 2):
+            expected = _reference_frequency(reference, (action_names, family_names), o.b, h)
+            assert o.family_frequency(h) == expected, (h, p0, m)
+
+
+def test_bench_scale_prefix_frequencies_equal_the_limit():
+    # A b=2000 population drawn like the sample-eval benchmark's (two root
+    # actions, mean height near 2.2): 4,000-odd states over 20 classes and
+    # an orbit of about 10**14000 populations, far past any search.
+    cfg = SimConfig(40, 20, 3, 3, 8, (0, 10), 2000, 11)
+    env = make_random_pomdp(cfg, random.Random(cfg.seed))
+    actions = [env.root_actions[i % len(env.root_actions)] for i in range(cfg.rollouts)]
+    p = generate_population(env, actions, random.Random(5)).population
+    o = enumerate_orbit(p, cap=10**20000)
+    assert o.size == o.n_classes * o.fiber > 10**10000
+    with pytest.raises(OrbitCapExceeded):
+        enumerate_orbit(p, cap=10**10000)
+    graph = down_report(p)
+    for a in sorted(set(actions)):
+        for h in [Schema(a, (), "#")] + [Schema(a, (c,), "#") for c in range(1, cfg.n_observations + 1)]:
+            assert orbit_frequency(o, h) == limiting_frequency_from_report(graph, h), h
 
 
 @pytest.mark.parametrize("fixture", [population_a, population_b])
