@@ -11,7 +11,7 @@ population drives the exact orbit value onto the formula.
 
 from fractions import Fraction
 
-from rollmix import Schema, StateTag, apply_chi, apply_nu, limiting_frequency
+from rollmix import Schema, StateTag, Transform, TransformKind, apply_transform, limiting_frequency
 from rollmix.fixtures import population_a, population_b
 from rollmix.recombine import (
     TransformDistribution,
@@ -26,11 +26,14 @@ def main():
     pa, pb = population_a(), population_b()
 
     print("one suffix swap on fixture B (heights change, statistics do not):")
-    q = apply_chi(pb, 1, StateTag("a"), StateTag("b"))
+    tags = frozenset((StateTag("a"), StateTag("b")))
+    chi = Transform(TransformKind.ONE_POINT, 1, tags)
+    q = apply_transform(pb, chi)
     for before, after in zip(pb, q):
         print(f"  {before}  ->  {after}")
-    print("swap back restores it:", apply_chi(q, 1, StateTag("a"), StateTag("b")) == pb)
-    print("position swap instead:", [str(r) for r in apply_nu(pb, 1, StateTag("a"), StateTag("b"))])
+    print("swap back restores it:", apply_transform(q, chi) == pb)
+    nu = Transform(TransformKind.SINGLE_SWAP, 1, tags)
+    print("position swap instead:", [str(r) for r in apply_transform(pb, nu)])
 
     target = Schema("alpha", (1, 2), "f1")
 

@@ -12,15 +12,18 @@ exactly, so the two routes audit each other.
 import random
 
 from rollmix import Schema, build_digraph, evaluate_actions, exact_expected_payoff, path_probability, walk
-from rollmix.fileio import digraph_to_json
 from rollmix.fixtures import payoffs_b, population_b
 
 
 def main():
     g = build_digraph(population_b())
     print("edges of the fixture-B graph (note the 1 <-> 2 loop):")
-    for edge in digraph_to_json(g)["edges"]:
-        print("  ", " -> ".join(map(str, edge[:2])), f"weight {edge[2]}")
+    name = {"action": str, "class": "c{}".format, "terminal": str}
+    edges = sorted(
+        (name[src[0]](src[1]), name[dst[0]](dst[1]), w) for src, outs in g.weights.items() for dst, w in outs.items()
+    )
+    for src, dst, w in edges:
+        print("  ", f"{src} -> {dst}", f"weight {w}")
 
     print("\na few walks from action alpha:")
     rng = random.Random(17)

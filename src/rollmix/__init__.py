@@ -47,8 +47,6 @@ from .recombine import (
     Transform,
     TransformDistribution,
     TransformKind,
-    apply_chi,
-    apply_nu,
     apply_transform,
     enumerate_inflated_orbit,
     enumerate_orbit,

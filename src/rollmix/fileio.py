@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import json
 import sys
-from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from json.encoder import encode_basestring
@@ -123,9 +122,13 @@ def parse_schema(text: str) -> Schema:
         raise SchemaSyntaxError(f"bad action token {action!r} in {text!r}")
     classes = []
     for tok in tokens[1:-1]:
-        if not _is_digits(tok) or int(tok) < 1:
+        try:
+            cls = int(tok) if _is_digits(tok) else 0
+        except ValueError:  # more digits than int() converts
+            cls = 0
+        if cls < 1:
             raise SchemaSyntaxError(f"bad class token {tok!r} in {text!r}")
-        classes.append(int(tok))
+        classes.append(cls)
     tail = tokens[-1]
     if not tail:
         raise SchemaSyntaxError(f"empty tail token in {text!r}")
@@ -249,70 +252,3 @@ def save_population(
 def load_population(path: str | Path) -> tuple[Population, PayoffMap]:
     """Parse and validate a population file."""
     return population_from_json(read_input(path))
-
-
-# --- digraph files --------------------------------------------------------------
-
-# Node naming: actions and terminals by their labels, classes as "c<id>".
-
-
-def _node_name(node: tuple) -> str:
-    kind, payload = node
-    return f"c{payload}" if kind == "class" else str(payload)
-
-
-def digraph_to_json(g) -> dict:
-    """{"nodes": {...}, "edges": [[src, dst, weight], ...]} with stable order;
-    ValueError if one label names nodes of two kinds, which the file mixes up."""
-    names = Counter([*g.actions, *g.terminals, *(f"c{i}" for i in g.classes)])
-    shared = sorted(name for name, n in names.items() if n > 1)
-    if shared:
-        raise ValueError(f"label {shared[0]!r} names nodes of two kinds; a digraph file cannot tell them apart")
-    edges = sorted(
-        (_node_name(src), _node_name(dst), w)
-        for src, outs in g.weights.items()
-        for dst, w in outs.items()
-    )
-    return {
-        "nodes": {
-            "actions": sorted(g.actions),
-            "classes": [f"c{i}" for i in sorted(g.classes)],
-            "terminals": sorted(g.terminals),
-        },
-        "edges": [list(edge) for edge in edges],
-    }
-
-
-def digraph_from_json(data: Any):
-    from .digraph import WeightedDigraph, action_node, class_node, terminal_node
-
-    if not (isinstance(data, dict) and isinstance(data.get("nodes"), dict) and isinstance(data.get("edges"), list)):
-        raise ParseError("digraph files carry a 'nodes' object and an 'edges' list")
-    g = WeightedDigraph()
-    # Edges name their nodes, so a name may be declared once, in one list.
-    lookup: dict[str, Any] = {}
-    for field, make in (("actions", action_node), ("terminals", terminal_node), ("classes", None)):
-        names = data["nodes"].get(field, [])
-        if not isinstance(names, list):
-            raise ParseError(f"node list {field!r} must be a list")
-        for name in names:
-            if make is None and not (isinstance(name, str) and name[:1] == "c" and _is_digits(name[1:])):
-                raise ParseError(f"bad class node {name!r}; expected 'c<id>'")
-            if not (isinstance(name, str) and name):
-                raise ParseError(f"bad node {name!r} in {field!r}; labels are non-empty strings")
-            if name in lookup:
-                raise ParseError(f"node {name!r} is declared twice")
-            lookup[name] = make(name) if make else class_node(int(name[1:]))
-            getattr(g, field).add(lookup[name][1])
-    for entry in data["edges"]:
-        if not (isinstance(entry, list) and len(entry) == 3 and is_json_int(entry[2])):
-            raise ParseError(f"bad edge {entry!r}; expected [src, dst, weight]")
-        src, dst, weight = entry
-        if not all(isinstance(name, str) and name in lookup for name in (src, dst)):
-            raise ParseError(f"edge {entry!r} references an undeclared node")
-        if weight < 1:
-            raise ParseError(f"edge {entry!r} must have positive weight")
-        if g.edge_weight(lookup[src], lookup[dst]):
-            raise ParseError(f"edge {entry!r} is listed twice")
-        g.add_weight(lookup[src], lookup[dst], weight)
-    return g

@@ -17,9 +17,11 @@ the initial population.  The orbit oracle computes exact averages over it.
 The chain never lists its generators: ``GeneratorView`` decodes a
 generator from its index in (class, tag pair, kind) order, so set-up
 memory follows the number of states, not the number of tag pairs.
-``run_chain`` keeps the population in mutable slots, applies each move in
-place and updates schema counts by the change in the at most two slots a
-move rewrites.  It draws exactly what sampling one transform per step
+``_Slots`` holds a population in mutable slots and is the one
+implementation of both moves: ``run_chain`` applies each move in place and
+updates schema counts by the change in the at most two slots a move
+rewrites, and ``apply_transform`` wraps one move for the ``Transform``
+objects.  The chain draws exactly what sampling one transform per step
 draws (``rng.random()`` against epsilon, then ``rng.randrange`` over the
 generators), so each seed keeps the trajectory of applying
 ``apply_transform`` step by step.
@@ -42,7 +44,7 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import accumulate, groupby
+from itertools import accumulate
 from math import factorial, isqrt, prod
 from typing import Hashable, Iterable, Mapping, Sequence
 
@@ -87,66 +89,6 @@ class Transform:
 
 
 IDENTITY = Transform(TransformKind.IDENTITY)
-
-
-def _locate(p: Population, cls: ClassId, tag: StateTag) -> tuple[int, int] | None:
-    target = TaggedState(cls, tag)
-    for i, r in enumerate(p.rollouts):
-        for k, s in enumerate(r.states):
-            if s == target:
-                return i, k
-    return None
-
-
-def apply_chi(p: Population, cls: ClassId, c: StateTag, d: StateTag) -> Population:
-    """Suffix crossover at the pair (cls, c), (cls, d).
-
-    The suffixes starting at the two states (terminals included) are
-    exchanged when the states lie in distinct rollouts; a same-rollout
-    pair, or a missing state, leaves the population unchanged.
-    """
-    loc1 = _locate(p, cls, c)
-    loc2 = _locate(p, cls, d)
-    if loc1 is None or loc2 is None or loc1[0] == loc2[0]:
-        return p
-    (i1, k1), (i2, k2) = loc1, loc2
-    r1, r2 = p.rollouts[i1], p.rollouts[i2]
-    new1 = Rollout(r1.action, r1.states[:k1] + r2.states[k2:], r2.terminal)
-    new2 = Rollout(r2.action, r2.states[:k2] + r1.states[k1:], r1.terminal)
-    rollouts = list(p.rollouts)
-    rollouts[i1], rollouts[i2] = new1, new2
-    return Population(tuple(rollouts))
-
-
-def apply_nu(p: Population, cls: ClassId, c: StateTag, d: StateTag) -> Population:
-    """Position swap of the two states (cls, c) and (cls, d), in place."""
-    loc1 = _locate(p, cls, c)
-    loc2 = _locate(p, cls, d)
-    if loc1 is None or loc2 is None:
-        return p
-    (i1, k1), (i2, k2) = loc1, loc2
-    rollouts = list(p.rollouts)
-    if i1 == i2:
-        states = list(rollouts[i1].states)
-        states[k1], states[k2] = states[k2], states[k1]
-        rollouts[i1] = Rollout(rollouts[i1].action, tuple(states), rollouts[i1].terminal)
-    else:
-        r1, r2 = rollouts[i1], rollouts[i2]
-        s1, s2 = list(r1.states), list(r2.states)
-        s1[k1], s2[k2] = r2.states[k2], r1.states[k1]
-        rollouts[i1] = Rollout(r1.action, tuple(s1), r1.terminal)
-        rollouts[i2] = Rollout(r2.action, tuple(s2), r2.terminal)
-    return Population(tuple(rollouts))
-
-
-def apply_transform(p: Population, t: Transform) -> Population:
-    if t.kind is TransformKind.IDENTITY:
-        return p
-    assert t.cls is not None and t.tags is not None
-    c, d = sorted(t.tags)
-    if t.kind is TransformKind.ONE_POINT:
-        return apply_chi(p, t.cls, c, d)
-    return apply_nu(p, t.cls, c, d)
 
 
 def _unrank_pair(n: int, rank: int) -> tuple[int, int]:
@@ -293,6 +235,71 @@ def _arrangements(items: Iterable[Hashable]) -> int:
     return prod(map(factorial, Counter(items).values()))
 
 
+class _Slots:
+    """A population as mutable slots of state ids: the one implementation
+    of both moves.  Slot i holds action id ``actions[i]``, terminal token
+    ``terminals[i]`` and the ids ``slots[i]``; ``slot_of`` and ``pos_of``
+    place every id, and ``ids`` numbers the states."""
+
+    def __init__(self, p: Population) -> None:
+        start, self.action_names, self.terminal_names = _encode_start(p)
+        self.actions = [slot[0] for slot in start]
+        self.terminals = [slot[1] for slot in start]
+        self.states = [s for r in p.rollouts for s in r.states]  # state id -> state
+        self.ids = {s: n for n, s in enumerate(self.states)}
+        self.slots: list[list[int]] = []
+        self.slot_of: list[int] = []
+        self.pos_of: list[int] = []
+        for i, r in enumerate(p.rollouts):
+            self.slots.append(list(range(len(self.slot_of), len(self.slot_of) + r.height)))
+            self.slot_of.extend([i] * r.height)
+            self.pos_of.extend(range(r.height))
+
+    def move(self, x: int, y: int, chi: bool) -> tuple[int, ...]:
+        """Suffix crossover (chi) or position swap of the same-class states
+        x and y, in place; returns the slots whose classes changed."""
+        slots, slot_of, pos_of = self.slots, self.slot_of, self.pos_of
+        s1, k1, s2, k2 = slot_of[x], pos_of[x], slot_of[y], pos_of[y]
+        if not chi:
+            # Same-class states trade places: no slot's classes change.
+            slots[s1][k1], slots[s2][k2] = y, x
+            slot_of[x], pos_of[x], slot_of[y], pos_of[y] = s2, k2, s1, k1
+            return ()
+        if s1 == s2:
+            return ()
+        one, two = slots[s1], slots[s2]
+        one[k1:], two[k2:] = two[k2:], one[k1:]
+        terminals = self.terminals
+        terminals[s1], terminals[s2] = terminals[s2], terminals[s1]
+        for s, slot, k in ((s1, one, k1), (s2, two, k2)):
+            for pos in range(k, len(slot)):
+                slot_of[slot[pos]], pos_of[slot[pos]] = s, pos
+        return s1, s2
+
+    def population(self) -> Population:
+        states, action_names, terminal_names = self.states, self.action_names, self.terminal_names
+        return Population(
+            tuple(
+                Rollout(action_names[a], tuple(states[x] for x in slot), terminal_names[f])
+                for a, slot, f in zip(self.actions, self.slots, self.terminals)
+            )
+        )
+
+
+def apply_transform(p: Population, t: Transform) -> Population:
+    """t applied to p by the chain's move; p itself for the identity or a
+    transform naming a state that p lacks."""
+    if t.kind is TransformKind.IDENTITY:
+        return p
+    assert t.cls is not None and t.tags is not None
+    engine = _Slots(p)
+    x, y = (engine.ids.get(TaggedState(t.cls, tag)) for tag in t.tags)
+    if x is None or y is None:
+        return p
+    engine.move(x, y, t.kind is TransformKind.ONE_POINT)
+    return engine.population()
+
+
 def run_chain(
     p0: Population,
     steps: int,
@@ -309,9 +316,8 @@ def run_chain(
 
     Each step draws from ``rng`` exactly what ``mu.sample`` would draw, so
     a seed fixes the same trajectory as applying sampled transforms one by
-    one.  The population is held as mutable slots of state ids, with the
-    slot and position of every id; a move rewrites at most two slots, and
-    only their schema matches are recomputed.
+    one.  The population is held in ``_Slots``; a move rewrites at most two
+    slots, and only their schema matches are recomputed.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
@@ -319,27 +325,18 @@ def run_chain(
     gens, epsilon = mu.generators, mu.epsilon
     n_gens = len(gens)
 
-    start, action_names, terminal_names = _encode_start(p0)
-    patterns = [_pattern(h, action_names, terminal_names) for h in schemata]
-    states = [s for r in p0.rollouts for s in r.states]  # state id -> state
-    classes = [s.cls for s in states]
-    terminals = [slot[1] for slot in start]  # terminal token per slot
-    slots: list[list[int]] = []
-    slot_of: list[int] = []
-    pos_of: list[int] = []
-    for i, r in enumerate(p0.rollouts):
-        slots.append(list(range(len(slot_of), len(slot_of) + r.height)))
-        slot_of.extend([i] * r.height)
-        pos_of.extend(range(r.height))
-    ids = {s: n for n, s in enumerate(states)}
+    engine = _Slots(p0)
+    patterns = [_pattern(h, engine.action_names, engine.terminal_names) for h in schemata]
+    actions, terminals, slots = engine.actions, engine.terminals, engine.slots
+    classes = [s.cls for s in engine.states]
     # Generator tag indices -> state ids; None for a state p0 lacks, whose
     # moves leave the population fixed.
     table = [
-        [ids.get(TaggedState(cls, tag)) for tag in tags] for cls, tags in zip(gens.classes, gens.tags)
+        [engine.ids.get(TaggedState(cls, tag)) for tag in tags] for cls, tags in zip(gens.classes, gens.tags)
     ]
 
     def fits(slot: int) -> list[bool]:
-        encoded = (start[slot][0], terminals[slot], *[classes[x] for x in slots[slot]])
+        encoded = (actions[slot], terminals[slot], *[classes[x] for x in slots[slot]])
         return [_fits(pattern, encoded) for pattern in patterns]
 
     matched = [fits(slot) for slot in range(len(slots))]
@@ -347,15 +344,10 @@ def run_chain(
     # made by step t holds for the steps - t populations P^{t+1}..P^steps.
     totals = [sum(m[q] for m in matched) * (steps + 1) for q in range(len(schemata))]
     visits: dict[Population, int] | None = {} if visit_stride else None
-    random_, randrange, decode = rng.random, rng.randrange, gens.decode
+    random_, randrange, decode, move = rng.random, rng.randrange, gens.decode, engine.move
     for t in range(steps + 1):
         if visits is not None and t % visit_stride == 0:  # type: ignore[operator]
-            current = Population(
-                tuple(
-                    Rollout(action_names[r[0]], tuple(states[x] for x in slot), terminal_names[f])
-                    for r, slot, f in zip(start, slots, terminals)
-                )
-            )
+            current = engine.population()
             visits[current] = visits.get(current, 0) + 1
         if t == steps or not n_gens or random_() < epsilon:
             continue
@@ -363,22 +355,11 @@ def run_chain(
         x, y = table[c][i], table[c][j]
         if x is None or y is None:
             continue
-        s1, k1, s2, k2 = slot_of[x], pos_of[x], slot_of[y], pos_of[y]
-        if not chi:
-            # Same-class states trade places: no slot's classes change.
-            slots[s1][k1], slots[s2][k2] = y, x
-            slot_of[x], pos_of[x], slot_of[y], pos_of[y] = s2, k2, s1, k1
-        elif s1 != s2:
-            one, two = slots[s1], slots[s2]
-            one[k1:], two[k2:] = two[k2:], one[k1:]
-            terminals[s1], terminals[s2] = terminals[s2], terminals[s1]
-            for s, slot, k in ((s1, one, k1), (s2, two, k2)):
-                for pos in range(k, len(slot)):
-                    slot_of[slot[pos]], pos_of[slot[pos]] = s, pos
-                new = fits(s)
-                for q, (before, after) in enumerate(zip(matched[s], new)):
-                    totals[q] += (after - before) * (steps - t)
-                matched[s] = new
+        for s in move(x, y, chi):
+            new = fits(s)
+            for q, (before, after) in enumerate(zip(matched[s], new)):
+                totals[q] += (after - before) * (steps - t)
+            matched[s] = new
     return ChainTrace(p0, steps, seed, dict(zip(schemata, totals)), visits)
 
 

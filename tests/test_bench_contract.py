@@ -67,3 +67,48 @@ def test_orbit_calls_pass_through_the_traced_boundaries(capsys):
     assert cli_spans.count("recombine.orbit_frequency") == 2
     inflated_spans = [span[3] for span in recorder.spans[len(cli_spans):]]
     assert inflated_spans == ["recombine.enumerate_inflated_orbit", "recombine.InflatedOrbit.family_frequency"]
+
+
+def test_move_criteria_pass_through_the_chains_slot_move(monkeypatch):
+    # Criteria 01 and 02 must check the move that ``mix`` runs: a refactor
+    # that points them back at a copy of the moves would check code the
+    # chain never runs, and the traced apply_transform would read 0.
+    import rollmix.recombine as recombine
+    from rollmix import verify
+
+    slot_moves = []
+    move = recombine._Slots.move
+    monkeypatch.setattr(recombine._Slots, "move", lambda self, *args: slot_moves.append(args) or move(self, *args))
+    recorder = _load_tracing().Recorder()
+    recorder.install()
+    try:
+        involution = verify.check_involution_conservation(seed=5, populations=20)
+        counted = recorder.totals["recombine.apply_transform"][0], len(slot_moves)
+        invariance = verify.check_stat_invariance(seed=6, populations=5, steps=20)
+    finally:
+        recorder.uninstall()
+    assert involution.passed and invariance.passed
+    assert min(counted) > 0
+    assert recorder.totals["recombine.apply_transform"][0] > counted[0]
+    assert len(slot_moves) > counted[1]
+
+
+def test_mix_runs_the_slot_move_apply_transform_runs(monkeypatch, capsys):
+    # run_chain and apply_transform share one engine: a copy of the move
+    # inside either would leave the other's checks on code mix never runs.
+    import rollmix.recombine as recombine
+    from rollmix.cli import dispatch
+    from rollmix.fixtures import population_b
+
+    callers = []
+    move = recombine._Slots.move
+    monkeypatch.setattr(recombine._Slots, "move", lambda self, *args: callers.append("move") or move(self, *args))
+    fixture = Path(__file__).resolve().parent / "fixtures" / "P_A.json"
+    assert dispatch(["mix", "--pop", str(fixture), "--steps", "200", "--schema", "#", "--seed", "1"]) == 0
+    capsys.readouterr()
+    mixed = len(callers)
+    gens = recombine.generator_index(population_b())
+    for g in gens[1:]:
+        recombine.apply_transform(population_b(), g)
+    assert mixed > 0
+    assert len(callers) - mixed == len(gens) - 1

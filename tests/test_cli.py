@@ -71,6 +71,19 @@ class TestExitCodes:
         assert err.startswith("rollmix: schema syntax error: bad class token")
         assert repr(token) in err
 
+    # Past CPython's int-to-str digit limit int() raises a plain ValueError.
+    @pytest.mark.parametrize("flag", ["--schema", "--schemata-file"])
+    def test_over_long_class_token_is_schema_syntax_error(self, capsys, tmp_path, flag):
+        schema = "alpha,1" + "0" * 4999 + ",#"
+        if flag == "--schemata-file":
+            path = tmp_path / "schemata.txt"
+            path.write_text(f"alpha,1,#\n{schema}\n", encoding="utf-8")
+            schema = str(path)
+        code, _, err = run(capsys, "limit", "--pop", str(FIXTURES / "P_A.json"), flag, schema)
+        assert code == 1
+        assert err.startswith("rollmix: schema syntax error: bad class token")
+        assert err.count("\n") == 1
+
     def test_invalid_population_lists_violations(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(

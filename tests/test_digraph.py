@@ -1,11 +1,10 @@
-import json
 import random
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from rollmix import Rollout, Schema, state, validate_population
+from rollmix import Rollout, Schema, state
 from rollmix.digraph import (
     CapExceeded,
     NoData,
@@ -23,7 +22,6 @@ from rollmix.digraph import (
     terminal_node,
     walk,
 )
-from rollmix.fileio import digraph_from_json, digraph_to_json
 from rollmix.fixtures import (
     payoffs_a,
     payoffs_b,
@@ -386,22 +384,20 @@ class TestIntegerSolverMatchesReference:
             payoffs = {f: Fraction(rng.randint(-50, 50), rng.randint(1, 12)) for f in g.terminals}
             assert all(_assert_solvers_agree(g, payoffs))
 
-    def test_digraph_file(self, tmp_path):
+    def test_digraph_file(self):
         # Weights far above 2**53 on a 1 <-> 2 loop with a self-loop on 3.
-        data = {
-            "nodes": {"actions": ["alpha", "beta"], "classes": ["c1", "c2", "c3"],
-                      "terminals": ["f1", "f2"]},
-            "edges": [
-                ["alpha", "c1", 3], ["alpha", "f2", 1], ["beta", "c2", 10**18],
-                ["beta", "c3", 7], ["c1", "c2", 2**62], ["c1", "f1", 5],
-                ["c2", "c1", 10**17 + 3], ["c2", "c3", 1], ["c3", "c3", 2**55],
-                ["c3", "f2", 9],
-            ],
-        }
-        path = tmp_path / "graph.json"
-        path.write_text(json.dumps(data), encoding="utf-8")
-        g = digraph_from_json(json.loads(path.read_text(encoding="utf-8")))
-        assert digraph_to_json(g)["edges"] == sorted(data["edges"])
+        a, c, f = action_node, class_node, terminal_node
+        g = WeightedDigraph()
+        for src, dst, w in [
+            (a("alpha"), c(1), 3), (a("alpha"), f("f2"), 1), (a("beta"), c(2), 10**18),
+            (a("beta"), c(3), 7), (c(1), c(2), 2**62), (c(1), f("f1"), 5),
+            (c(2), c(1), 10**17 + 3), (c(2), c(3), 1), (c(3), c(3), 2**55),
+            (c(3), f("f2"), 9),
+        ]:
+            g.add_weight(src, dst, w)
+        g.actions.update(("alpha", "beta"))
+        g.classes.update((1, 2, 3))
+        g.terminals.update(("f1", "f2"))
         assert all(_assert_solvers_agree(g, {"f1": Fraction(-7, 3), "f2": Fraction(5, 11)}))
 
 

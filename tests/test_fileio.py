@@ -50,6 +50,17 @@ class TestSchemaText:
             parse_schema("alpha,1,x,#")
         assert "'x'" in str(err.value)
 
+    # Past CPython's int-to-str digit limit int() raises a plain ValueError.
+    @pytest.mark.parametrize(
+        "text",
+        ["alpha,1" + "0" * 4999 + ",#", "alpha," + "9" * 4301 + ",f1", "alpha,1,2," + "7" * 5000 + ",#"],
+        ids=["leading", "just-past-limit", "third-class"],
+    )
+    def test_over_long_class_token_is_a_syntax_error(self, text):
+        with pytest.raises(SchemaSyntaxError) as err:
+            parse_schema(text)
+        assert str(err.value).startswith("bad class token")
+
     def test_bare_action_rejected(self):
         with pytest.raises(SchemaSyntaxError):
             parse_schema("alpha")
@@ -288,97 +299,3 @@ def test_loader_agrees_with_the_reference(data):
 )
 def test_loader_agrees_with_the_reference_on_edge_documents(data):
     assert _outcome(population_from_json, data) == _outcome(_reference_population_from_json, data)
-
-
-class TestDigraphFiles:
-    def test_serialised_form(self):
-        from rollmix import build_digraph
-        from rollmix.fileio import digraph_to_json
-
-        data = digraph_to_json(build_digraph(population_b()))
-        assert data["nodes"] == {
-            "actions": ["alpha", "beta"],
-            "classes": ["c1", "c2"],
-            "terminals": ["f1", "f2"],
-        }
-        assert ["alpha", "c1", 1] in data["edges"]
-        assert ["c1", "c2", 1] in data["edges"]
-        assert ["c2", "f1", 1] in data["edges"]
-
-    def test_roundtrip(self):
-        from rollmix import build_digraph
-        from rollmix.fileio import digraph_from_json, digraph_to_json
-
-        g = build_digraph(population_a())
-        data = digraph_to_json(g)
-        again = digraph_from_json(data)
-        assert digraph_to_json(again) == data
-        assert again.weights == g.weights
-
-    def test_loaded_graph_keeps_out_weights(self):
-        import random
-
-        from rollmix import build_digraph
-        from rollmix.fileio import digraph_from_json, digraph_to_json
-        from rollmix.fixtures import random_population
-
-        rng = random.Random(41)
-        for _ in range(100):
-            p = random_population(rng, max_b=8, max_height=4, allow_stateless=True)
-            g = build_digraph(p)
-            loaded = digraph_from_json(digraph_to_json(g))
-            assert loaded.b == g.b == p.b
-            for node, outs in g.weights.items():
-                assert g.out_weight(node) == loaded.out_weight(node) == sum(outs.values())
-
-    def test_writer_rejects_a_label_of_two_kinds(self):
-        # The file names actions and terminals by label and classes as
-        # "c<id>", so "x" (action and terminal) and "c1" (action and class
-        # 1) would each name two nodes; the loader rejects such a file.
-        from rollmix import build_digraph, state
-        from rollmix.fileio import digraph_to_json
-
-        p = validate_population([Rollout("x", (state(1, "a"),), "x"), Rollout("c1", (), "f")])
-        with pytest.raises(ValueError, match="'c1' names nodes of two kinds"):
-            digraph_to_json(build_digraph(p))
-        p = validate_population([Rollout("x", (state(1, "a"),), "x")])
-        with pytest.raises(ValueError, match="'x' names nodes of two kinds"):
-            digraph_to_json(build_digraph(p))
-
-    def test_bad_edge_rejected(self):
-        from rollmix.fileio import digraph_from_json
-
-        with pytest.raises(ParseError):
-            digraph_from_json({"nodes": {"actions": ["a"]}, "edges": [["a", "c9", 1]]})
-        nodes = {"actions": ["a"], "terminals": ["f"]}
-        with pytest.raises(ParseError, match="bad edge"):
-            digraph_from_json({"nodes": nodes, "edges": [["a", "f", True]]})
-        with pytest.raises(ParseError, match="twice"):
-            digraph_from_json({"nodes": nodes, "edges": [["a", "f", 1], ["a", "f", 2]]})
-        for name in ("c\u00b2", "c\u0661"):
-            with pytest.raises(ParseError, match="bad class node"):
-                digraph_from_json({"nodes": {"classes": [name]}, "edges": []})
-
-    @pytest.mark.parametrize(
-        "data",
-        [
-            {"nodes": [], "edges": []},
-            {"nodes": {}, "edges": 5},
-            {"nodes": {"actions": 5}, "edges": []},
-            {"nodes": {"classes": "c1"}, "edges": []},
-            {"nodes": {"terminals": [None]}, "edges": []},
-            {"nodes": {"actions": [1]}, "edges": []},
-            {"nodes": {"actions": [""]}, "edges": []},
-            {"nodes": {"actions": ["x"], "terminals": ["x"]}, "edges": [["x", "x", 1]]},
-            {"nodes": {"actions": ["c1"], "classes": ["c1"]}, "edges": []},
-            {"nodes": {"actions": ["a", "a"]}, "edges": []},
-            {"nodes": {"actions": ["a"], "terminals": ["f"]}, "edges": [[["a"], "f", 1]]},
-            {"nodes": {"actions": ["a"], "terminals": ["f"]}, "edges": [["a", {}, 1]]},
-        ],
-        ids=repr,
-    )
-    def test_malformed_nodes_rejected(self, data):
-        from rollmix.fileio import digraph_from_json
-
-        with pytest.raises(ParseError):  # never AttributeError, TypeError or a silent merge
-            digraph_from_json(data)

@@ -12,6 +12,7 @@ from rollmix import (
     Rollout,
     Schema,
     StateTag,
+    TaggedState,
     inflate,
     state,
     validate_population,
@@ -23,8 +24,7 @@ from rollmix.recombine import (
     Transform,
     TransformDistribution,
     TransformKind,
-    apply_chi,
-    apply_nu,
+    _Slots,
     apply_transform,
     enumerate_inflated_orbit,
     enumerate_orbit,
@@ -39,7 +39,7 @@ from rollmix.recombine import (
     run_chain,
 )
 from rollmix.envsim import SimConfig, generate_population, make_random_pomdp
-from rollmix.model import match_parts, schema_count
+from rollmix.model import ClassId, match_parts, schema_count
 from rollmix.stats import down_report, limiting_frequency_from_report
 from rollmix.verify import _candidate_schemata
 
@@ -48,9 +48,82 @@ def tag(symbol):
     return StateTag(symbol)
 
 
+# --- the reference object move -------------------------------------------------
+
+# The moves written out on frozen Population objects: locate each state by
+# scanning, rebuild the rollouts it touches.  The chain's slot engine, behind
+# apply_transform, must give the same populations.
+
+
+def _locate(p: Population, cls: ClassId, tag: StateTag) -> tuple[int, int] | None:
+    target = TaggedState(cls, tag)
+    for i, r in enumerate(p.rollouts):
+        for k, s in enumerate(r.states):
+            if s == target:
+                return i, k
+    return None
+
+
+def apply_chi(p: Population, cls: ClassId, c: StateTag, d: StateTag) -> Population:
+    """Suffix crossover at the pair (cls, c), (cls, d).
+
+    The suffixes starting at the two states (terminals included) are
+    exchanged when the states lie in distinct rollouts; a same-rollout
+    pair, or a missing state, leaves the population unchanged.
+    """
+    loc1 = _locate(p, cls, c)
+    loc2 = _locate(p, cls, d)
+    if loc1 is None or loc2 is None or loc1[0] == loc2[0]:
+        return p
+    (i1, k1), (i2, k2) = loc1, loc2
+    r1, r2 = p.rollouts[i1], p.rollouts[i2]
+    new1 = Rollout(r1.action, r1.states[:k1] + r2.states[k2:], r2.terminal)
+    new2 = Rollout(r2.action, r2.states[:k2] + r1.states[k1:], r1.terminal)
+    rollouts = list(p.rollouts)
+    rollouts[i1], rollouts[i2] = new1, new2
+    return Population(tuple(rollouts))
+
+
+def apply_nu(p: Population, cls: ClassId, c: StateTag, d: StateTag) -> Population:
+    """Position swap of the two states (cls, c) and (cls, d), in place."""
+    loc1 = _locate(p, cls, c)
+    loc2 = _locate(p, cls, d)
+    if loc1 is None or loc2 is None:
+        return p
+    (i1, k1), (i2, k2) = loc1, loc2
+    rollouts = list(p.rollouts)
+    if i1 == i2:
+        states = list(rollouts[i1].states)
+        states[k1], states[k2] = states[k2], states[k1]
+        rollouts[i1] = Rollout(rollouts[i1].action, tuple(states), rollouts[i1].terminal)
+    else:
+        r1, r2 = rollouts[i1], rollouts[i2]
+        s1, s2 = list(r1.states), list(r2.states)
+        s1[k1], s2[k2] = r2.states[k2], r1.states[k1]
+        rollouts[i1] = Rollout(r1.action, tuple(s1), r1.terminal)
+        rollouts[i2] = Rollout(r2.action, tuple(s2), r2.terminal)
+    return Population(tuple(rollouts))
+
+
+def _reference_move(p, t):
+    """t applied by the reference object move."""
+    if t.kind is TransformKind.IDENTITY:
+        return p
+    c, d = sorted(t.tags)
+    return (apply_chi if t.kind is TransformKind.ONE_POINT else apply_nu)(p, t.cls, c, d)
+
+
+def _chi(p, cls, c, d):
+    return apply_transform(p, Transform(TransformKind.ONE_POINT, cls, frozenset((c, d))))
+
+
+def _nu(p, cls, c, d):
+    return apply_transform(p, Transform(TransformKind.SINGLE_SWAP, cls, frozenset((c, d))))
+
+
 class TestChi:
     def test_suffix_swap_on_loop_fixture(self):
-        q = apply_chi(population_b(), 1, tag("a"), tag("b"))
+        q = _chi(population_b(), 1, tag("a"), tag("b"))
         assert q.rollouts[0] == Rollout("alpha", (state(1, "b"),), "f2")
         assert q.rollouts[1] == Rollout(
             "beta", (state(2, "b"), state(1, "a"), state(2, "a")), "f1"
@@ -64,20 +137,20 @@ class TestChi:
                 Rollout("beta", (state(2, "a"),), "f2"),
             ]
         )
-        assert apply_chi(p, 6, tag("a"), tag("b")) is p
+        assert _chi(p, 6, tag("a"), tag("b")) == p
 
     def test_missing_tag_fixes_population(self):
         p = population_a()
-        assert apply_chi(p, 1, tag("a"), tag("z")) is p
+        assert _chi(p, 1, tag("a"), tag("z")) is p
 
     def test_result_is_valid(self):
-        q = apply_chi(population_b(), 1, tag("a"), tag("b"))
+        q = _chi(population_b(), 1, tag("a"), tag("b"))
         validate_population(q.rollouts)
 
 
 class TestNu:
     def test_swap_across_rollouts(self):
-        q = apply_nu(population_b(), 1, tag("a"), tag("b"))
+        q = _nu(population_b(), 1, tag("a"), tag("b"))
         assert q.rollouts[0] == Rollout("alpha", (state(1, "b"), state(2, "a")), "f1")
         assert q.rollouts[1] == Rollout("beta", (state(2, "b"), state(1, "a")), "f2")
 
@@ -85,13 +158,147 @@ class TestNu:
         p = validate_population(
             [Rollout("alpha", (state(1, "a"), state(2, "a"), state(1, "b")), "f")]
         )
-        q = apply_nu(p, 1, tag("a"), tag("b"))
+        q = _nu(p, 1, tag("a"), tag("b"))
         assert q.rollouts[0].states == (state(1, "b"), state(2, "a"), state(1, "a"))
         assert q.rollouts[0].terminal == "f"
 
     def test_missing_pair_fixes_population(self):
         p = population_a()
-        assert apply_nu(p, 1, tag("a"), tag("z")) is p
+        assert _nu(p, 1, tag("a"), tag("z")) is p
+
+
+def test_slot_move_matches_reference_move():
+    # Every generator of each population, plus a few of another population
+    # (moves naming a state p lacks); stateless rollouts every other time.
+    rng = random.Random(67)
+    seen = Counter()
+    for n in range(1200):
+        p = random_population(
+            rng, max_b=rng.choice([1, 3, 6]), max_height=rng.choice([1, 3, 5]),
+            max_classes=rng.choice([1, 2, 4]), allow_stateless=n % 2 == 0,
+        )
+        foreign = list(TransformDistribution.from_population(random_population(rng, max_b=4)).generators)
+        for g in generator_index(p) + rng.sample(foreign, min(5, len(foreign))):
+            expected = _reference_move(p, g)
+            assert apply_transform(p, g) == expected, (g, p)
+            if g.kind is TransformKind.IDENTITY:
+                continue
+            locs = [_locate(p, g.cls, t) for t in g.tags]
+            if None in locs:
+                seen["missing"] += 1
+            elif locs[0][0] == locs[1][0]:
+                seen["same rollout " + g.kind.value] += 1
+            else:
+                seen[g.kind.value] += 1
+        seen["stateless"] += any(r.height == 0 for r in p.rollouts)
+    assert min(seen[k] for k in ("missing", "same rollout chi", "same rollout nu", "chi", "nu", "stateless")) > 50
+
+
+
+def _slot_moves(rng, populations, **shape):
+    """(p, x, y, chi) for every crossover generator of random populations:
+    the state ids the engine built from p gives the generator's states."""
+    for _ in range(populations):
+        p = random_population(rng, **shape)
+        ids = _Slots(p).ids
+        for g in generator_index(p)[1:]:
+            x, y = (ids[TaggedState(g.cls, t)] for t in g.tags)
+            yield p, x, y, g.kind is TransformKind.ONE_POINT
+
+
+class TestSlots:
+    SHAPE = dict(max_b=5, max_height=4, max_classes=3, allow_stateless=True)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            pytest.param(population_a, id="A"),
+            pytest.param(population_b, id="B"),
+            pytest.param(
+                lambda: validate_population(
+                    [Rollout("alpha", (), "f1"), Rollout("beta", (state(1, "a"),), "f2"), Rollout("alpha", (), "f3")]
+                ),
+                id="stateless",
+            ),
+            pytest.param(lambda: random_population(random.Random(5), max_b=8, max_height=5), id="random"),
+        ],
+    )
+    def test_population_round_trip(self, make):
+        p = make()
+        assert _Slots(p).population() == p
+
+    @pytest.mark.parametrize("chi", [True, False], ids=["chi", "nu"])
+    def test_move_returns_the_slots_it_rewrote(self, chi):
+        # A suffix crossover rewrites the two distinct rollouts it joins;
+        # a swap of same-class states changes no rollout's classes.
+        changed_seen = 0
+        for p, x, y, is_chi in _slot_moves(random.Random(71), 300, **self.SHAPE):
+            if is_chi is not chi:
+                continue
+            engine = _Slots(p)
+            s1, s2 = engine.slot_of[x], engine.slot_of[y]
+            returned = engine.move(x, y, chi)
+            q = engine.population()
+            differ = {
+                i for i, (r, s) in enumerate(zip(p.rollouts, q.rollouts))
+                if (r.classes, r.terminal) != (s.classes, s.terminal)
+            }
+            assert set(returned) == ({s1, s2} if chi and s1 != s2 else set())
+            assert differ <= set(returned)
+            if returned:  # the terminals travel with the suffixes
+                assert q.rollouts[s1].terminal == p.rollouts[s2].terminal
+                assert q.rollouts[s2].terminal == p.rollouts[s1].terminal
+            changed_seen += bool(differ)
+        if chi:
+            assert changed_seen > 50
+
+    @pytest.mark.parametrize("chi", [True, False], ids=["chi", "nu"])
+    def test_move_twice_restores_the_population(self, chi):
+        moves = 0
+        for p, x, y, is_chi in _slot_moves(random.Random(73), 200, **self.SHAPE):
+            if is_chi is not chi:
+                continue
+            engine = _Slots(p)
+            engine.move(x, y, chi)
+            engine.move(x, y, chi)
+            assert engine.population() == p
+            moves += 1
+        assert moves > 200
+
+    def test_index_follows_a_run_of_moves(self):
+        # slot_of and pos_of must place every state id where slots holds it,
+        # or the next move would cut the wrong suffix.
+        rng = random.Random(79)
+        for _ in range(100):
+            p = random_population(rng, **self.SHAPE)
+            gens = generator_index(p)[1:]
+            engine = _Slots(p)
+            for _ in range(30 if gens else 0):
+                g = rng.choice(gens)
+                x, y = (engine.ids[TaggedState(g.cls, t)] for t in g.tags)
+                engine.move(x, y, g.kind is TransformKind.ONE_POINT)
+                for i, slot in enumerate(engine.slots):
+                    for k, sid in enumerate(slot):
+                        assert (engine.slot_of[sid], engine.pos_of[sid]) == (i, k)
+
+    def test_a_run_of_moves_conserves_states_actions_and_terminals(self):
+        rng = random.Random(83)
+        for _ in range(100):
+            p = random_population(rng, **self.SHAPE)
+            gens = generator_index(p)[1:]
+            engine = _Slots(p)
+            for _ in range(30 if gens else 0):
+                g = rng.choice(gens)
+                x, y = (engine.ids[TaggedState(g.cls, t)] for t in g.tags)
+                engine.move(x, y, g.kind is TransformKind.ONE_POINT)
+            q = validate_population(engine.population().rollouts)
+            assert [r.action for r in q.rollouts] == [r.action for r in p.rollouts]
+            assert Counter(r.terminal for r in q.rollouts) == Counter(r.terminal for r in p.rollouts)
+            assert Counter(s for r in q.rollouts for s in r.states) == Counter(s for r in p.rollouts for s in r.states)
+
+    def test_identity_returns_p_itself(self):
+        p = population_b()
+        assert apply_transform(p, IDENTITY) is p
 
 
 class TestGeneratorIndex:
@@ -264,7 +471,8 @@ def test_slot_matcher_counts_what_schema_count_counts():
 
 def _reference_chain(p0, steps, mu, schemata, seed, visit_stride=None):
     """The mixing chain written out one population at a time: apply a
-    sampled transform, recount every schema over the whole population."""
+    sampled transform by the reference object move, recount every schema
+    over the whole population."""
     rng = random.Random(seed)
     counts = {h: 0 for h in schemata}
     visits = {} if visit_stride else None
@@ -275,7 +483,7 @@ def _reference_chain(p0, steps, mu, schemata, seed, visit_stride=None):
         if visits is not None and t % visit_stride == 0:
             visits[current] = visits.get(current, 0) + 1
         if t < steps:
-            current = apply_transform(current, mu.sample(rng))
+            current = _reference_move(current, mu.sample(rng))
     return counts, visits
 
 
@@ -497,7 +705,7 @@ def _population_level_orbit(p):
         nxt = []
         for member in frontier:
             for g in gens:
-                image = apply_transform(member, g)
+                image = _reference_move(member, g)
                 if image not in seen:
                     seen.add(image)
                     nxt.append(image)
