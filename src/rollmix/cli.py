@@ -62,52 +62,66 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _build_parser() -> _Parser:
+def _build_parser(argv: Sequence[str]) -> _Parser:
+    """The command-line parser for ``argv``.
+
+    When argv starts with a command, only that command's subparser is
+    built, since one call runs one command; its help, errors and parse are
+    those of the full parser.  Otherwise (no command, ``--help``,
+    ``--version``, an unknown word) all six are built, in this order.
+    """
     parser = _Parser(prog="rollmix", description=__doc__, add_help=True,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--version", action="version", version=f"rollmix {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    only = argv[0] if argv and argv[0] in _HANDLERS else None
 
-    gen = sub.add_parser("gen", help="simulate a population from an environment config")
-    gen.add_argument("--env", required=True, help="environment config JSON")
-    gen.add_argument("--seed", required=True, type=int, help="rollout simulation seed")
-    gen.add_argument("--out", help="population file (default: stdout)")
+    if only in (None, "gen"):
+        gen = sub.add_parser("gen", help="simulate a population from an environment config")
+        gen.add_argument("--env", required=True, help="environment config JSON")
+        gen.add_argument("--seed", required=True, type=int, help="rollout simulation seed")
+        gen.add_argument("--out", help="population file (default: stdout)")
 
-    mix = sub.add_parser("mix", help="run the recombination chain and report running frequencies")
-    mix.add_argument("--pop", required=True)
-    mix.add_argument("--steps", required=True, type=int)
-    mix.add_argument("--schema", action="append", default=[], help="schema text (repeatable)")
-    mix.add_argument("--schemata-file", help="file with one schema per line")
-    mix.add_argument("--seed", required=True, type=int)
-    mix.add_argument("--identity-prob", type=float, default=0.01)
-    mix.add_argument("--out")
+    if only in (None, "mix"):
+        mix = sub.add_parser("mix", help="run the recombination chain and report running frequencies")
+        mix.add_argument("--pop", required=True)
+        mix.add_argument("--steps", required=True, type=int)
+        mix.add_argument("--schema", action="append", default=[], help="schema text (repeatable)")
+        mix.add_argument("--schemata-file", help="file with one schema per line")
+        mix.add_argument("--seed", required=True, type=int)
+        mix.add_argument("--identity-prob", type=float, default=0.01)
+        mix.add_argument("--out")
 
-    limit = sub.add_parser("limit", help="closed-form limiting frequencies")
-    limit.add_argument("--pop", required=True)
-    limit.add_argument("--schema", action="append", default=[])
-    limit.add_argument("--schemata-file")
-    limit.add_argument("--out")
+    if only in (None, "limit"):
+        limit = sub.add_parser("limit", help="closed-form limiting frequencies")
+        limit.add_argument("--pop", required=True)
+        limit.add_argument("--schema", action="append", default=[])
+        limit.add_argument("--schemata-file")
+        limit.add_argument("--out")
 
-    orbit = sub.add_parser("orbit", help="exact orbit enumeration and frequencies")
-    orbit.add_argument("--pop", required=True)
-    orbit.add_argument("--schema", action="append", default=[])
-    orbit.add_argument("--schemata-file")
-    orbit.add_argument("--cap", type=int, default=10**6, help="maximum orbit size")
-    orbit.add_argument("--out")
+    if only in (None, "orbit"):
+        orbit = sub.add_parser("orbit", help="exact orbit enumeration and frequencies")
+        orbit.add_argument("--pop", required=True)
+        orbit.add_argument("--schema", action="append", default=[])
+        orbit.add_argument("--schemata-file")
+        orbit.add_argument("--cap", type=int, default=10**6, help="maximum orbit size")
+        orbit.add_argument("--out")
 
-    ev = sub.add_parser("eval", help="walker-based action evaluation with exact oracle column")
-    ev.add_argument("--pop", required=True)
-    ev.add_argument("--walks", required=True, type=int)
-    ev.add_argument("--seed", required=True, type=int)
-    ev.add_argument("--cap", type=int, default=10**6, help="per-walk step cap")
-    ev.add_argument("--workers", type=int, default=1,
-                    help="accepted for compatibility (must be >= 1); walks run in one process "
-                    "and their results never depend on this value")
-    ev.add_argument("--out")
+    if only in (None, "eval"):
+        ev = sub.add_parser("eval", help="walker-based action evaluation with exact oracle column")
+        ev.add_argument("--pop", required=True)
+        ev.add_argument("--walks", required=True, type=int)
+        ev.add_argument("--seed", required=True, type=int)
+        ev.add_argument("--cap", type=int, default=10**6, help="per-walk step cap")
+        ev.add_argument("--workers", type=int, default=1,
+                        help="accepted for compatibility (must be >= 1); walks run in one process "
+                        "and their results never depend on this value")
+        ev.add_argument("--out")
 
-    ver = sub.add_parser("verify", help="run the full invariant and acceptance suite")
-    ver.add_argument("--seed", required=True, type=int)
-    ver.add_argument("--out")
+    if only in (None, "verify"):
+        ver = sub.add_parser("verify", help="run the full invariant and acceptance suite")
+        ver.add_argument("--seed", required=True, type=int)
+        ver.add_argument("--out")
     return parser
 
 
@@ -312,7 +326,7 @@ _HANDLERS = {
 
 def dispatch(argv: Sequence[str]) -> int:
     """Run one command; returns the exit code instead of raising SystemExit."""
-    parser = _build_parser()
+    parser = _build_parser(argv)
     started = time.perf_counter()
     try:
         args = parser.parse_args(list(argv))

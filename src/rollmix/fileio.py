@@ -144,8 +144,9 @@ def format_schema(h: Schema) -> str:
 
 
 def read_schemata_file(path: str | Path) -> list[Schema]:
-    """One schema per non-blank line."""
-    return [parse_schema(line) for line in read_input(path, str.splitlines) if line.strip()]
+    """One schema per non-blank line; a leading byte-order mark is dropped."""
+    lines = read_input(path, lambda text: text.removeprefix("\ufeff").splitlines())
+    return [parse_schema(line) for line in lines if line.strip()]
 
 
 # --- population files ---------------------------------------------------------

@@ -11,11 +11,14 @@ classes, and either an exact terminal or the ``#`` wildcard standing for
 "any continuation".  The bare ``#`` (``ROOT``) matches every rollout.
 
 All values in this module are immutable after construction and safe to
-share across threads.
+share across threads.  Tags and tagged states, of which a population holds
+one per state, are named tuples that check their fields, so hashing,
+equality and sorting run in C; each equals the plain tuple of its fields.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -51,37 +54,35 @@ class InvalidPopulationError(ModelError):
         super().__init__(f"invalid population: {lines}")
 
 
-@dataclass(frozen=True, order=True)
-class StateTag:
+class StateTag(namedtuple("StateTag", "symbol copy")):
     """Distinguishing tag of one state occurrence.
 
     ``copy`` is 0 for original occurrences; inflate() assigns higher copy
     indices so duplicated rollouts stay formally distinct.
     """
 
-    symbol: str
-    copy: int = 0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.symbol:
+    def __new__(_cls, symbol: str, copy: int = 0) -> "StateTag":
+        if not symbol:
             raise ValueError("tag symbol must be non-empty")
-        if self.copy < 0:
+        if copy < 0:
             raise ValueError("copy index must be >= 0")
+        return tuple.__new__(_cls, (symbol, copy))
 
     def __str__(self) -> str:
         return self.symbol if self.copy == 0 else f"{self.symbol}{_COPY_SEP}{self.copy}"
 
 
-@dataclass(frozen=True, order=True)
-class TaggedState:
+class TaggedState(namedtuple("TaggedState", "cls tag")):
     """A similarity class together with the tag of this occurrence."""
 
-    cls: ClassId
-    tag: StateTag
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.cls < 1:
+    def __new__(_cls, cls: ClassId, tag: StateTag) -> "TaggedState":
+        if cls < 1:
             raise ValueError("class ids are positive integers")
+        return tuple.__new__(_cls, (cls, tag))
 
     def __str__(self) -> str:
         return f"({self.cls},{self.tag})"

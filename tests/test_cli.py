@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -10,7 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from rollmix import Rollout, __version__, build_digraph, exact_expected_payoff, state, validate_population
-from rollmix.cli import dispatch
+from rollmix.cli import UsageError, _build_parser, dispatch
 from rollmix.fileio import dump_canonical, save_population
 from rollmix.model import tag_symbol
 from rollmix.verify import CheckResult
@@ -196,6 +197,15 @@ class TestLimit:
         report = json.loads(out)
         assert report["outputs"]["frequencies"]["alpha,1,2,f1"] == "2/9"
         assert report["outputs"]["down_report"]["b"] == 3
+
+    def test_schemata_file_with_byte_order_mark(self, capsys, tmp_path):
+        path = tmp_path / "schemata.txt"
+        path.write_bytes(b"\xef\xbb\xbfalpha,1,#\nalpha,#\n")
+        code, out, _ = run(
+            capsys, "limit", "--pop", str(FIXTURES / "P_A.json"), "--schemata-file", str(path)
+        )
+        assert code == 0
+        assert json.loads(out)["outputs"]["frequencies"] == {"alpha,1,#": "2/3", "alpha,#": "2/3"}
 
     def test_multiple_schemata(self, capsys):
         code, out, _ = run(
@@ -692,3 +702,62 @@ class TestVerifySubcommand:
 def test_help_exits_zero(capsys):
     code, out, _ = run(capsys, "--help")
     assert code == 0
+
+
+COMMANDS = ["gen", "mix", "limit", "orbit", "eval", "verify"]
+
+# One valid argv per command; each starts with a required flag and its value.
+VALID_ARGV = {
+    "gen": ["--env", "env.json", "--seed", "3", "--out", "pop.json"],
+    "mix": ["--pop", "p.json", "--steps", "5", "--seed", "2", "--schema", "#", "--schema", "a,#",
+            "--schemata-file", "s.txt", "--identity-prob", "0.5"],
+    "limit": ["--pop", "p.json", "--schema", "#"],
+    "orbit": ["--pop", "p.json", "--schema", "#", "--cap", "7"],
+    "eval": ["--pop", "p.json", "--walks", "10", "--seed", "1", "--workers", "2", "--cap", "9"],
+    "verify": ["--seed", "1", "--out", "r.json"],
+}
+
+
+def _subcommands(parser):
+    (action,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+def _parse(parser, argv):
+    try:
+        return parser.parse_args(argv)
+    except UsageError as exc:
+        return f"UsageError: {exc}"
+
+
+def test_parser_builds_only_the_command_it_runs():
+    # Every call runs one command, and building all six subparsers would
+    # cost it about a millisecond; help, no argv and unknown words need all.
+    assert list(_subcommands(_build_parser(["orbit", "--pop", "p.json"]))) == ["orbit"]
+    for argv in ([], ["--help"], ["--version"], ["bogus"], ["--pop", "orbit"]):
+        assert list(_subcommands(_build_parser(argv))) == COMMANDS
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_one_command_parser_agrees_with_the_full_one(command):
+    full, one = _build_parser([]), _build_parser([command])
+    assert _subcommands(one)[command].format_help() == _subcommands(full)[command].format_help()
+    valid = VALID_ARGV[command]
+    seed = valid.index("--seed") + 1 if "--seed" in valid else None
+    cases = [
+        valid,
+        valid[2:],
+        [*valid, "--nope"],
+        [*valid[:seed], "1.5", *valid[seed + 1:]] if seed else [*valid, "--seed", "1.5"],
+    ]
+    for rest in cases:
+        argv = [command, *rest]
+        assert _parse(one, argv) == _parse(full, argv)
+    assert isinstance(_parse(one, [command, *valid]), argparse.Namespace)
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_command_help_exits_zero(capsys, command):
+    code, out, _ = run(capsys, command, "--help")
+    assert code == 0
+    assert out.startswith(f"usage: rollmix {command}")

@@ -90,6 +90,13 @@ class TestSchemaText:
             Schema("beta", (2,), "f2"),
         ]
 
+    def test_schemata_file_with_byte_order_mark(self, tmp_path):
+        # Editors that save "UTF-8 with BOM" prefix the first line with
+        # U+FEFF, which is not whitespace and would join the first action.
+        f = tmp_path / "schemata.txt"
+        f.write_bytes(b"\xef\xbb\xbfalpha,1,#\nalpha,#\n")
+        assert read_schemata_file(f) == [Schema("alpha", (1,), "#"), Schema("alpha", (), "#")]
+
 
 class TestRationals:
     def test_parse_forms(self):

@@ -9,6 +9,8 @@ from rollmix import (
     ROOT,
     Rollout,
     Schema,
+    StateTag,
+    TaggedState,
     inflate,
     is_homologous,
     population_violations,
@@ -61,6 +63,54 @@ class TestValidation:
         ]
         kinds = sorted(v.kind for v in population_violations(rollouts))
         assert kinds == ["DuplicateState", "DuplicateTerminal"]
+
+
+class TestTaggedStates:
+    # Tags and tagged states are tuples, so populations hash, compare and
+    # sort them in C; they must keep the value semantics of the frozen,
+    # ordered dataclasses they replaced.
+    def test_hashes_are_those_of_the_field_tuples(self):
+        assert hash(StateTag("ab", 3)) == hash(("ab", 3))
+        assert hash(TaggedState(2, StateTag("c"))) == hash((2, StateTag("c")))
+        assert hash(TaggedState(2, StateTag("c"))) == hash((2, ("c", 0)))
+
+    def test_sort_by_fields(self):
+        rng = random.Random(5)
+        fields = [(cls, sym, copy) for cls in (1, 2, 10) for sym in ("a", "b", "aa") for copy in (0, 1, 12)]
+        states = [TaggedState(cls, StateTag(sym, copy)) for cls, sym, copy in fields]
+        rng.shuffle(states)
+        assert [(s.cls, s.tag.symbol, s.tag.copy) for s in sorted(states)] == sorted(fields)
+        tags = [s.tag for s in states]
+        assert [(t.symbol, t.copy) for t in sorted(tags)] == sorted((t.symbol, t.copy) for t in tags)
+
+    def test_repr_and_str(self):
+        assert repr(state(1, "a")) == "TaggedState(cls=1, tag=StateTag(symbol='a', copy=0))"
+        assert str(state(1, "a")) == "(1,a)"
+        assert str(state(4, "zz", 2)) == "(4,zz@2)"
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: StateTag(""), "tag symbol must be non-empty"),
+            (lambda: StateTag("a", -1), "copy index must be >= 0"),
+            (lambda: TaggedState(0, StateTag("a")), "class ids are positive integers"),
+        ],
+    )
+    def test_checks(self, build, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            build()
+
+    def test_immutable(self):
+        s = state(1, "a")
+        with pytest.raises(AttributeError):
+            s.cls = 2  # type: ignore[misc]
+        with pytest.raises(AttributeError):
+            s.tag.copy = 1  # type: ignore[misc]
+
+    def test_keyword_construction(self):
+        assert TaggedState(cls=3, tag=StateTag(symbol="b")) == state(3, "b")
+        assert StateTag(symbol="b", copy=2) == StateTag("b", 2)
+        assert StateTag("b").copy == 0
 
 
 class TestHomologous:
