@@ -159,6 +159,7 @@ def population_from_json(data: Any) -> tuple[Population, PayoffMap]:
     if not isinstance(raw_rollouts, list):
         raise ParseError("'rollouts' must be a list")
     rollouts: list[Rollout] = []
+    new = tuple.__new__
     for i, entry in enumerate(raw_rollouts):
         if not isinstance(entry, dict):
             raise ParseError(f"rollout {i}: must be an object")
@@ -174,6 +175,13 @@ def population_from_json(data: Any) -> tuple[Population, PayoffMap]:
             raise ParseError(f"rollout {i}: action and terminal are strings")
         parsed = []
         for s in states:
+            # An entry of exactly an int >= 1, a non-empty str and an int >= 0
+            # is built unchecked; any other goes through the checks.
+            if type(s) is list and len(s) == 3:
+                cls, symbol, copy = s
+                if type(cls) is int and cls > 0 and type(symbol) is str and symbol and type(copy) is int and copy >= 0:
+                    parsed.append(new(TaggedState, (cls, new(StateTag, (symbol, copy)))))
+                    continue
             if not (
                 isinstance(s, list)
                 and len(s) == 3

@@ -28,7 +28,13 @@ generators), so each seed keeps the trajectory of applying
 
 The chain encodes each rollout once (``_encode_start``) as an integer
 tuple (action id, terminal token, classes...) and compiles each schema
-once (``_pattern``) into a test on that tuple (``_fits``).
+once (``_pattern``) into a test on that tuple (``_fits``).  No move
+changes a slot's action, and a suffix crossover at position k keeps
+classes 0..k of both slots it rewrites, because the suffix that comes in
+starts with a state of the class that went out; the orbit oracle's "no
+move changes a slot's first class" is the case k = 0.  So after a
+crossover at k the chain matches again only the #-tailed schemata of
+height above k + 1 and the terminal-tailed ones.
 
 The oracle counts instead of enumerating: tag relabellings act freely and
 no schema sees them, so the orbit is a number of tag-erased classes, each
@@ -122,8 +128,9 @@ class GeneratorView(Sequence[Transform]):
     @classmethod
     def from_population(cls, p: Population) -> "GeneratorView":
         by_class: dict[ClassId, list[StateTag]] = {}
-        for _, _, s in p.states():
-            by_class.setdefault(s.cls, []).append(s.tag)
+        for r in p.rollouts:
+            for c, tag in r.states:
+                by_class.setdefault(c, []).append(tag)
         classes = tuple(sorted(by_class))
         tags = tuple(tuple(sorted(by_class[c])) for c in classes)
         return cls(classes, tags, tuple(accumulate(len(t) * (len(t) - 1) for t in tags)))
@@ -209,7 +216,9 @@ def _encode_start(p: Population) -> tuple[EncodedShape, tuple[str, ...], tuple[s
     terminal_names = tuple(sorted(p.terminals()))
     action_ids = {name: i for i, name in enumerate(action_names)}
     terminal_ids = {name: i for i, name in enumerate(terminal_names)}
-    start = tuple((action_ids[r.action], terminal_ids[r.terminal]) + r.classes for r in p.rollouts)
+    start = tuple(
+        [(action_ids[r.action], terminal_ids[r.terminal], *[s.cls for s in r.states]) for r in p.rollouts]
+    )
     return start, action_names, terminal_names
 
 
@@ -239,12 +248,13 @@ class _Slots:
     """A population as mutable slots of state ids: the one implementation
     of both moves.  Slot i holds action id ``actions[i]``, terminal token
     ``terminals[i]`` and the ids ``slots[i]``; ``slot_of`` and ``pos_of``
-    place every id, and ``ids`` numbers the states."""
+    place every id, ``ids`` numbers the states, and ``start`` is the shape
+    at construction."""
 
     def __init__(self, p: Population) -> None:
-        start, self.action_names, self.terminal_names = _encode_start(p)
-        self.actions = [slot[0] for slot in start]
-        self.terminals = [slot[1] for slot in start]
+        self.start, self.action_names, self.terminal_names = _encode_start(p)
+        self.actions = [slot[0] for slot in self.start]
+        self.terminals = [slot[1] for slot in self.start]
         self.states = [s for r in p.rollouts for s in r.states]  # state id -> state
         self.ids = {s: n for n, s in enumerate(self.states)}
         self.slots: list[list[int]] = []
@@ -316,8 +326,12 @@ def run_chain(
 
     Each step draws from ``rng`` exactly what ``mu.sample`` would draw, so
     a seed fixes the same trajectory as applying sampled transforms one by
-    one.  The population is held in ``_Slots``; a move rewrites at most two
-    slots, and only their schema matches are recomputed.
+    one.  The population is held in ``_Slots``; only a suffix crossover
+    changes a slot's classes, and it rewrites at most two slots.  A
+    crossover at position k keeps each slot's action and classes 0..k (the
+    incoming suffix starts with a state of the same class), so only the
+    #-tailed schemata of height above k + 1 and the terminal-tailed ones
+    are matched again.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
@@ -327,22 +341,23 @@ def run_chain(
 
     engine = _Slots(p0)
     patterns = [_pattern(h, engine.action_names, engine.terminal_names) for h in schemata]
-    actions, terminals, slots = engine.actions, engine.terminals, engine.slots
+    actions, terminals, slots, pos_of = engine.actions, engine.terminals, engine.slots, engine.pos_of
     classes = [s.cls for s in engine.states]
     # Generator tag indices -> state ids; None for a state p0 lacks, whose
     # moves leave the population fixed.
-    table = [
-        [engine.ids.get(TaggedState(cls, tag)) for tag in tags] for cls, tags in zip(gens.classes, gens.tags)
-    ]
+    ids = engine.ids
+    table = [[ids.get((cls, tag)) for tag in tags] for cls, tags in zip(gens.classes, gens.tags)]
+    # rematch[k]: the schemata a crossover at position k can change.  Every
+    # cut past the deepest #-tailed schema shares the terminal-tailed list.
+    heights = [h.height if h.is_root or h.wildcard_tail else None for h in schemata]
+    deepest = max((d for d in heights if d is not None), default=0)
+    rematch = [[q for q, d in enumerate(heights) if d is None or d > k + 1] for k in range(deepest - 1)]
+    rematch += [[q for q, d in enumerate(heights) if d is None]] * (len(classes) - len(rematch))
 
-    def fits(slot: int) -> list[bool]:
-        encoded = (actions[slot], terminals[slot], *[classes[x] for x in slots[slot]])
-        return [_fits(pattern, encoded) for pattern in patterns]
-
-    matched = [fits(slot) for slot in range(len(slots))]
+    matched = [[_fits(pattern, shape) for pattern in patterns] for shape in engine.start]
     # Each total starts as if P^0 lasted all steps+1 populations; a change
     # made by step t holds for the steps - t populations P^{t+1}..P^steps.
-    totals = [sum(m[q] for m in matched) * (steps + 1) for q in range(len(schemata))]
+    totals = [sum(column) * (steps + 1) for column in zip(*matched)]
     visits: dict[Population, int] | None = {} if visit_stride else None
     random_, randrange, decode, move = rng.random, rng.randrange, gens.decode, engine.move
     for t in range(steps + 1):
@@ -355,11 +370,17 @@ def run_chain(
         x, y = table[c][i], table[c][j]
         if x is None or y is None:
             continue
-        for s in move(x, y, chi):
-            new = fits(s)
-            for q, (before, after) in enumerate(zip(matched[s], new)):
-                totals[q] += (after - before) * (steps - t)
-            matched[s] = new
+        cuts = rematch[pos_of[x]], rematch[pos_of[y]]
+        for s, todo in zip(move(x, y, chi), cuts):
+            if not todo:
+                continue
+            shape = (actions[s], terminals[s], *[classes[v] for v in slots[s]])
+            row = matched[s]
+            for q in todo:
+                new = _fits(patterns[q], shape)
+                if new != row[q]:
+                    totals[q] += (new - row[q]) * (steps - t)
+                    row[q] = new
     return ChainTrace(p0, steps, seed, dict(zip(schemata, totals)), visits)
 
 

@@ -274,6 +274,16 @@ def _reference_population_from_json(data: Any) -> tuple[Population, dict]:
     return population, payoffs
 
 
+class _IntSub(int):
+    def __repr__(self) -> str:
+        return f"_IntSub({int(self)})"
+
+
+class _StrSub(str):
+    def __repr__(self) -> str:
+        return f"_StrSub({str(self)!r})"
+
+
 def _outcome(load, data):
     try:
         return load(data)
@@ -301,6 +311,20 @@ def test_loader_agrees_with_the_reference(data):
         {"rollouts": [{"action": "a", "terminal": "f"}], "payoffs": {"f": 2, "g": "2", "h": True, "i": 1.0}},
         {"rollouts": [{"action": "a", "terminal": "f"}], "payoffs": {"f": [1], "g": {"p": 1}}},
         {"rollouts": []},
+        # Entries the unchecked path must leave to the checked one.
+        *(
+            {"rollouts": [{"action": "a", "states": [[2, "b", 0], entry], "terminal": "f"}]}
+            for entry in (
+                [True, "a", 0],
+                [1, "a", False],
+                [1.0, "a", 0],
+                [_IntSub(1), "a", 0],
+                [1, _StrSub("a"), 0],
+                [1, "a"],
+                [1, "a", 0, 0],
+                (1, "a", 0),
+            )
+        ),
     ],
     ids=repr,
 )

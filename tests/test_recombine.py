@@ -14,6 +14,7 @@ from rollmix import (
     StateTag,
     TaggedState,
     inflate,
+    recombine,
     state,
     validate_population,
 )
@@ -488,13 +489,15 @@ def _reference_chain(p0, steps, mu, schemata, seed, visit_stride=None):
 
 
 def _probe_schemata(rng, p):
-    """Schemata of every kind for p: root, action-only, class prefixes,
-    exact terminal-tailed ones, misses, and a duplicate."""
+    """Schemata of every kind for p: root, action-only, every class prefix
+    of every rollout, exact terminal-tailed ones, misses, and a duplicate.
+    With every prefix height next to every crossover position, the chain's
+    rule for which schemata a crossover can change meets each boundary."""
     out = [ROOT, Schema("omega", (), "#")]
     for r in p.rollouts:
         classes = r.classes
         k = rng.randint(0, len(classes))
-        out.append(Schema(r.action, classes[:k], "#"))
+        out.extend(Schema(r.action, classes[:height], "#") for height in range(len(classes) + 1))
         out.append(Schema(r.action, classes, r.terminal))
         out.append(Schema(r.action, classes[:k], "f1"))
     out.append(rng.choice(out))
@@ -532,6 +535,35 @@ def test_chain_matches_reference_chain():
         assert trace.visits == visits
         if visits is not None:
             assert list(trace.visits) == list(visits)
+
+
+def test_chain_matches_again_only_what_a_crossover_can_change(monkeypatch):
+    # A crossover at position k keeps classes 0..k, so (a,#) and (a,c,#)
+    # are matched once per slot at set-up and never again; a terminal-tailed
+    # schema is matched again after crossovers.
+    calls = []
+    fits = recombine._fits
+    monkeypatch.setattr(recombine, "_fits", lambda *args: calls.append(1) or fits(*args))
+    p = random_population(random.Random(31), min_b=20, max_b=20, max_height=5, max_classes=3)
+    mu = TransformDistribution.from_population(p, 0.2)
+    prefixes = sorted(
+        {Schema(r.action, (), "#") for r in p.rollouts}
+        | {Schema(r.action, r.classes[:1], "#") for r in p.rollouts if r.states},
+        key=str,
+    )
+    for steps in (0, 2000):
+        calls.clear()
+        run_chain(p, steps, mu, prefixes, seed=5)
+        assert len(calls) == p.b * len(prefixes), steps
+    longest = max(p.rollouts, key=lambda r: r.height)
+    with_tail = prefixes + [Schema(longest.action, longest.classes, longest.terminal)]
+    counts = []
+    for steps in (0, 2000):
+        calls.clear()
+        run_chain(p, steps, mu, with_tail, seed=5)
+        counts.append(len(calls))
+    assert counts[0] == p.b * len(with_tail)
+    assert counts[1] > counts[0] + 100
 
 
 def test_chain_memory_follows_states_not_tag_pairs():
