@@ -8,7 +8,8 @@ every tagged state and every terminal occurs exactly once.  Schemata are
 patterns over rollouts; `#` stands for "any continuation".
 """
 
-from rollmix import (
+from rollmix.fixtures import population_a, population_b
+from rollmix.model import (
     Rollout,
     Schema,
     inflate,
@@ -19,7 +20,6 @@ from rollmix import (
     state,
     validate_population,
 )
-from rollmix.fixtures import population_a, population_b
 
 
 def main():

@@ -10,9 +10,10 @@ split their parent's frequency exactly (flow conservation).
 
 from fractions import Fraction
 
-from rollmix import Schema, down_report, frequency_children, limiting_frequency
 from rollmix.digraph import action_node, class_node
 from rollmix.fixtures import population_a, population_b
+from rollmix.model import Schema
+from rollmix.stats import down_report, frequency_children, limiting_frequency
 
 
 def show_report(name, p):

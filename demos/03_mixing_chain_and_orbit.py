@@ -11,15 +11,19 @@ population drives the exact orbit value onto the formula.
 
 from fractions import Fraction
 
-from rollmix import Schema, StateTag, Transform, TransformKind, apply_transform, limiting_frequency
 from rollmix.fixtures import population_a, population_b
+from rollmix.model import Schema, StateTag
 from rollmix.recombine import (
+    Transform,
     TransformDistribution,
+    TransformKind,
+    apply_transform,
     enumerate_inflated_orbit,
     enumerate_orbit,
     orbit_frequency,
     run_chain,
 )
+from rollmix.stats import limiting_frequency
 
 
 def main():

@@ -11,8 +11,9 @@ exactly, so the two routes audit each other.
 
 import random
 
-from rollmix import Schema, build_digraph, evaluate_actions, exact_expected_payoff, path_probability, walk
+from rollmix.digraph import build_digraph, evaluate_actions, exact_expected_payoff, path_probability, walk
 from rollmix.fixtures import payoffs_b, population_b
+from rollmix.model import Schema
 
 
 def main():

@@ -10,7 +10,7 @@ evaluation against the exact solver.
 import random
 from fractions import Fraction
 
-from rollmix import build_digraph, evaluate_actions, exact_expected_payoff
+from rollmix.digraph import build_digraph, evaluate_actions, exact_expected_payoff
 from rollmix.envsim import SimConfig, generate_population, make_random_pomdp
 from rollmix.recombine import TransformDistribution, enumerate_orbit, orbit_frequency, run_chain
 from rollmix.stats import frequency_children, limiting_frequency

@@ -14,65 +14,16 @@ check the others:
   of their payoffs, and its exact expected-payoff solver
   (:mod:`rollmix.digraph`).
 
-:mod:`rollmix.envsim` generates valid populations from toy partially
-observable environments, and :mod:`rollmix.cli` wraps everything in a
-reproducible command-line pipeline.
+:mod:`rollmix.fileio` reads and writes population files, schema text and
+canonical reports.  :mod:`rollmix.envsim` generates valid populations from
+toy partially observable environments, :mod:`rollmix.verify` runs the
+acceptance criteria on the :mod:`rollmix.fixtures` populations, and
+:mod:`rollmix.cli` wraps everything in a reproducible command-line
+pipeline.
+
+Import each name from the module that defines it, as in
+``from rollmix.model import Schema``; the package itself holds only
+``__version__``, so ``import rollmix`` loads none of the modules above.
 """
 
 __version__ = "0.1.0"
-
-from .model import (
-    InvalidPopulationError,
-    Population,
-    ROOT,
-    Rollout,
-    Schema,
-    StateTag,
-    TaggedState,
-    Violation,
-    WILDCARD,
-    inflate,
-    is_homologous,
-    population_violations,
-    schema_count,
-    schema_match,
-    state,
-    validate_population,
-)
-from .stats import down_report, frequency_children, limiting_frequency
-from .recombine import (
-    ChainTrace,
-    OrbitCapExceeded,
-    OrbitSet,
-    Transform,
-    TransformDistribution,
-    TransformKind,
-    apply_transform,
-    enumerate_inflated_orbit,
-    enumerate_orbit,
-    generator_index,
-    orbit_frequency,
-    run_chain,
-)
-from .digraph import (
-    CapExceeded,
-    EvaluationReport,
-    NoData,
-    Unsolvable,
-    WalkOutcome,
-    WeightedDigraph,
-    build_digraph,
-    evaluate_actions,
-    exact_expected_payoff,
-    path_probability,
-    walk,
-)
-from .envsim import EnvModel, SimConfig, generate_population, make_random_pomdp, simulate_rollout
-from .fileio import (
-    ParseError,
-    SchemaSyntaxError,
-    format_schema,
-    load_population,
-    parse_schema,
-    save_population,
-)

@@ -20,28 +20,18 @@ identical inputs produce identical bytes).
 from __future__ import annotations
 
 import argparse
-import random
 import sys
-import tempfile
 import time
 from pathlib import Path
 from typing import Any, Sequence
 
 from . import __version__
 from . import digraph as dg
-from .envsim import (
-    InvalidConfig,
-    SimConfig,
-    generate_population,
-    make_random_pomdp,
-    sim_config_from_json,
-)
 from .fileio import (
     ParseError,
     SchemaSyntaxError,
     dump_canonical,
     format_rational,
-    format_schema,
     load_population,
     parse_schema,
     population_text,
@@ -153,15 +143,6 @@ def _report(command: str, inputs: dict[str, Any], outputs: dict[str, Any]) -> di
     }
 
 
-def _load_sim_config(path: str) -> SimConfig:
-    try:
-        return sim_config_from_json(read_input(path))
-    except KeyError as exc:
-        raise ParseError(f"{path}: missing config field {exc}") from None
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"{path}: {exc}") from None
-
-
 def _successions_json(g: dg.WeightedDigraph, node: dg.Node) -> dict[str, Any]:
     classes, terminals = g.successors(node)
     out: dict[str, Any] = {
@@ -182,7 +163,16 @@ def _down_report_json(g: dg.WeightedDigraph) -> dict[str, Any]:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    cfg = _load_sim_config(args.env)
+    import random
+
+    from .envsim import generate_population, make_random_pomdp, sim_config_from_json
+
+    try:
+        cfg = sim_config_from_json(read_input(args.env))
+    except KeyError as exc:
+        raise ParseError(f"{args.env}: missing config field {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"{args.env}: {exc}") from None
     env = make_random_pomdp(cfg, random.Random(cfg.seed))
     actions = [env.root_actions[i % len(env.root_actions)] for i in range(cfg.rollouts)]
     sample = generate_population(env, actions, random.Random(args.seed))
@@ -195,13 +185,17 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 def _cmd_mix(args: argparse.Namespace) -> int:
     population, _ = load_population(args.pop)
     schemata = _schemata_from_args(args)
+    if not 0 < args.identity_prob < 1:
+        raise UsageError("identity probability must lie in (0, 1)")
+    if args.steps < 0:
+        raise UsageError("steps must be >= 0")
     mu = TransformDistribution.from_population(population, args.identity_prob)
     trace = run_chain(population, args.steps, mu, schemata, args.seed)
     outputs = {
         "b": population.b,
         "steps": args.steps,
         "schemata": {
-            format_schema(h): {
+            str(h): {
                 "total_count": trace.schema_counts[h],
                 "denominator": population.b * (args.steps + 1),
                 "phi": f"{float(trace.phi(h)):.12g}",
@@ -225,7 +219,7 @@ def _cmd_limit(args: argparse.Namespace) -> int:
     graph = down_report(population)
     outputs = {
         "frequencies": {
-            format_schema(h): format_rational(limiting_frequency_from_report(graph, h))
+            str(h): format_rational(limiting_frequency_from_report(graph, h))
             for h in schemata
         },
         "down_report": _down_report_json(graph),
@@ -245,7 +239,7 @@ def _cmd_orbit(args: argparse.Namespace) -> int:
         "canonical_classes": orbit.n_classes,
         "fiber": orbit.fiber,
         "frequencies": {
-            format_schema(h): format_rational(orbit_frequency(orbit, h)) for h in schemata
+            str(h): format_rational(orbit_frequency(orbit, h)) for h in schemata
         },
     }
     _emit(dump_canonical(_report("orbit", {"pop": args.pop, "cap": args.cap}, outputs)), args.out)
@@ -298,6 +292,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    import tempfile
+
     from .verify import run_verification
 
     with tempfile.TemporaryDirectory(prefix="rollmix-verify-") as workdir:
@@ -331,7 +327,7 @@ def dispatch(argv: Sequence[str]) -> int:
     try:
         args = parser.parse_args(list(argv))
         code = _HANDLERS[args.command](args)
-    except (UsageError, ValueError) as exc:
+    except UsageError as exc:
         print(f"rollmix: usage error: {exc}", file=sys.stderr)
         return 1
     except SchemaSyntaxError as exc:
@@ -342,7 +338,7 @@ def dispatch(argv: Sequence[str]) -> int:
         for v in exc.violations:
             print(f"  {v.kind}: {v.detail}", file=sys.stderr)
         return 2
-    except (ParseError, InvalidConfig, dg.NoData, dg.Unsolvable) as exc:
+    except (ParseError, dg.NoData, dg.Unsolvable) as exc:
         print(f"rollmix: invalid input: {exc}", file=sys.stderr)
         return 2
     except (OrbitCapExceeded, dg.CapExceeded) as exc:

@@ -38,15 +38,11 @@ Node = tuple[str, object]
 PayoffMap = Mapping[TerminalLabel, Fraction]
 
 
-class WalkError(Exception):
-    pass
-
-
-class NoData(WalkError):
+class NoData(Exception):
     """The requested start action has never been ingested."""
 
 
-class CapExceeded(WalkError):
+class CapExceeded(Exception):
     """A walk ran for the full step cap without reaching a terminal."""
 
 

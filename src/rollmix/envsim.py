@@ -31,8 +31,8 @@ from .model import (
 CAP_TERMINAL_PREFIX = "cap"
 
 
-class InvalidConfig(Exception):
-    pass
+class InvalidConfig(ParseError):
+    """An environment config that describes no valid environment."""
 
 
 @dataclass(frozen=True)

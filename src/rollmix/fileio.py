@@ -8,9 +8,9 @@ Population files are UTF-8 JSON::
      "payoffs": {"f1": "3/2", ...}}
 
 States are [class id, tag symbol, copy index] triples and payoffs are
-exact rationals written as "p/q" (or plain "p") strings.  Parsing
-untrusted files runs the full population validation and reports every
-violation.
+exact rationals written as "p/q" (or plain "p") strings; an exponent,
+as in "1e400", may not pass 4300.  Parsing untrusted files runs the full
+population validation and reports every violation.
 
 The schema text syntax is ``action,c1,...,ck,tail`` where the tail is a
 terminal label or ``#``, and the bare ``#`` is the root pattern.  All
@@ -61,11 +61,20 @@ def _is_digits(text: str) -> bool:
     return text.isascii() and text.isdigit()
 
 
+# Exponents past CPython's default limit on an integer string's digits are
+# rejected before Fraction sees them: Fraction("1e10000000") builds
+# 10**10000000, which takes seconds.
+_MAX_EXPONENT = 4300
+
+
 def parse_rational(text: Any) -> Fraction:
     if is_json_int(text):
         return Fraction(text)
     if not isinstance(text, str):
         raise ParseError(f"expected a rational string, got {text!r}")
+    exponent = text.upper().partition("E")[2].strip().lstrip("+-").replace("_", "")
+    if exponent.isdecimal() and (len(exponent) > _MAX_EXPONENT or int(exponent) > _MAX_EXPONENT):
+        raise ParseError(f"bad rational {text!r}: exponent beyond {_MAX_EXPONENT}")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
@@ -137,10 +146,6 @@ def parse_schema(text: str) -> Schema:
             f"tail {tail!r} in {text!r} looks like a class; schemata end in a terminal or '#'"
         )
     return Schema(action, tuple(classes), tail)
-
-
-def format_schema(h: Schema) -> str:
-    return str(h)
 
 
 def read_schemata_file(path: str | Path) -> list[Schema]:

@@ -32,10 +32,6 @@ WILDCARD = "#"
 _COPY_SEP = "@"
 
 
-class ModelError(Exception):
-    """Base class for domain-model errors."""
-
-
 @dataclass(frozen=True)
 class Violation:
     """One population-invariant violation, locating the offending rollouts."""
@@ -45,7 +41,7 @@ class Violation:
     rollouts: tuple[int, ...] = ()
 
 
-class InvalidPopulationError(ModelError):
+class InvalidPopulationError(Exception):
     """Raised when a candidate population breaks a distinctness invariant."""
 
     def __init__(self, violations: Sequence[Violation]):

@@ -64,7 +64,6 @@ from .model import (
     inflate,
 )
 from .digraph import _bareiss_solve
-from .stats import Frequency
 
 
 class OrbitCapExceeded(Exception):
@@ -475,7 +474,7 @@ def _fixed_data(p: Population) -> tuple:
     )
 
 
-def _frequency(o: OrbitSet, h: Schema) -> Frequency:
+def _frequency(o: OrbitSet, h: Schema) -> Fraction:
     """Exact orbit mean of (slots fitting h)/b: the slots of h's (action,
     first class) times the share of threadings in which one of them follows
     h's path, whose edges (and a terminal tail's, which stands for its
@@ -533,7 +532,7 @@ class OrbitSet:
     def size(self) -> int:
         return self.n_classes * self.fiber
 
-    def family_frequency(self, h: Schema) -> Frequency:
+    def family_frequency(self, h: Schema) -> Fraction:
         """Exact orbit mean of (rollouts fitting h)/b, h's terminal standing
         for every label of its token (its whole copy family)."""
         return _frequency(self, h)
@@ -577,7 +576,7 @@ def enumerate_orbit(p0: Population, cap: int = 10**6) -> OrbitSet:
     return _orbit(p0, [(r.action, r.classes, r.terminal) for r in p0.rollouts], cap)
 
 
-def orbit_frequency(o: OrbitSet, h: Schema) -> Frequency:
+def orbit_frequency(o: OrbitSet, h: Schema) -> Fraction:
     """Exact mean of (matching rollouts)/b over the whole orbit."""
     return _frequency(o, h)
 

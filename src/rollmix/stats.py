@@ -25,15 +25,13 @@ from fractions import Fraction
 from .digraph import WeightedDigraph, action_node, build_digraph, class_node, path_probability
 from .model import Population, Schema, WILDCARD
 
-Frequency = Fraction
-
 
 def down_report(p: Population) -> WeightedDigraph:
     """The succession counts of a valid population: its weighted digraph."""
     return build_digraph(p)
 
 
-def limiting_frequency_from_report(g: WeightedDigraph, h: Schema) -> Frequency:
+def limiting_frequency_from_report(g: WeightedDigraph, h: Schema) -> Fraction:
     """Closed-form limiting frequency of a schema, from a population's digraph."""
     if h.is_root:
         return Fraction(1)
@@ -41,12 +39,12 @@ def limiting_frequency_from_report(g: WeightedDigraph, h: Schema) -> Frequency:
     return Fraction(g.out_weight(action_node(h.action)), g.b) * path_probability(g, h)
 
 
-def limiting_frequency(p: Population, h: Schema) -> Frequency:
+def limiting_frequency(p: Population, h: Schema) -> Fraction:
     """Closed-form limiting frequency of schema h for the population p."""
     return limiting_frequency_from_report(down_report(p), h)
 
 
-def frequency_children(p: Population, h: Schema) -> dict[Schema, Frequency]:
+def frequency_children(p: Population, h: Schema) -> dict[Schema, Fraction]:
     """Limiting frequencies of all one-step extensions of a #-tailed schema.
 
     For (a, c1..ck, #) the children are (a, c1..ck, j, #) for every class j
@@ -58,7 +56,7 @@ def frequency_children(p: Population, h: Schema) -> dict[Schema, Frequency]:
     if not (h.is_root or h.wildcard_tail):
         raise ValueError("frequency_children expects a #-tailed schema")
     g = down_report(p)
-    children: dict[Schema, Frequency] = {}
+    children: dict[Schema, Fraction] = {}
     if h.is_root:
         for action in sorted(g.actions):
             child = Schema(action, (), WILDCARD)

@@ -11,9 +11,9 @@ from fractions import Fraction
 
 import pytest
 
-from rollmix import Schema
 from rollmix import verify
 from rollmix.fixtures import population_b
+from rollmix.model import Schema
 from rollmix.recombine import enumerate_inflated_orbit
 
 

@@ -8,7 +8,7 @@ import importlib
 import importlib.util
 from pathlib import Path
 
-import rollmix.cli  # noqa: F401  (loads every module the tracer patches)
+import rollmix.cli  # noqa: F401  (loads the modules the commands use)
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 

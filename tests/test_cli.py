@@ -10,10 +10,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from rollmix import Rollout, __version__, build_digraph, exact_expected_payoff, state, validate_population
-from rollmix.cli import UsageError, _build_parser, dispatch
+from rollmix import __version__
+from rollmix.cli import _HANDLERS, UsageError, _build_parser, dispatch
+from rollmix.digraph import build_digraph, exact_expected_payoff
 from rollmix.fileio import dump_canonical, save_population
-from rollmix.model import tag_symbol
+from rollmix.model import Rollout, state, tag_symbol, validate_population
 from rollmix.verify import CheckResult
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -42,6 +43,62 @@ def test_cli_import_loads_neither_numpy_nor_scipy():
     out = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": src},
                          capture_output=True, text=True, check=True, timeout=60)
     assert out.stdout.strip() == "[]"
+
+
+def _fresh_python(code):
+    """Run code in a fresh interpreter that imports rollmix from src/; returns its stdout."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, check=True, timeout=60).stdout
+
+
+def _rollmix_modules():
+    import pkgutil
+
+    import rollmix
+
+    return sorted(m.name for m in pkgutil.iter_modules(rollmix.__path__) if m.name != "__main__")
+
+
+def test_package_import_loads_no_module():
+    # Each name lives in the module that defines it; the package re-exports none.
+    probe = "import sys, rollmix\nprint(sorted(m for m in sys.modules if m.startswith('rollmix.')))"
+    assert _fresh_python(probe).strip() == "[]"
+
+
+@pytest.mark.parametrize("module", _rollmix_modules())
+def test_every_module_imports_alone(module):
+    # An import cycle shows only when a module is the first one imported.
+    assert _fresh_python(f"import rollmix.{module}; print('ok')").strip() == "ok"
+
+
+def test_commands_load_only_what_they_run(tmp_path):
+    # orbit, mix, limit and eval need neither the environment simulator nor
+    # the acceptance suite; gen imports the simulator when it runs.
+    env = tmp_path / "env.json"
+    env.write_text(json.dumps(GEN_CONFIG), encoding="utf-8")
+    pop = str(FIXTURES / "P_A.json")
+    commands = [
+        ["orbit", "--pop", pop, "--schema", "#"],
+        ["mix", "--pop", pop, "--steps", "5", "--seed", "1", "--schema", "#"],
+        ["limit", "--pop", pop, "--schema", "#"],
+        ["eval", "--pop", pop, "--walks", "5", "--seed", "1"],
+    ]
+    probe = (
+        "import contextlib, io, json, sys\n"
+        "from rollmix.cli import dispatch\n"
+        "watched = ['rollmix.envsim', 'rollmix.verify', 'rollmix.fixtures']\n"
+        "loaded = lambda: [m for m in watched if m in sys.modules]\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    codes = [dispatch(argv) for argv in {commands!r}]\n"
+        "    before_gen = loaded()\n"
+        f"    codes.append(dispatch(['gen', '--env', {str(env)!r}, '--seed', '1']))\n"
+        "print(json.dumps([codes, before_gen, loaded()]))"
+    )
+    codes, before_gen, after_gen = json.loads(_fresh_python(probe))
+    assert codes == [0] * 5
+    assert before_gen == []
+    assert after_gen == ["rollmix.envsim"]
 
 
 class TestExitCodes:
@@ -135,6 +192,34 @@ class TestExitCodes:
             "--walks", "-1", "--seed", "1",
         )
         assert code == 1
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--steps", "-3"], "steps must be >= 0"),
+        (["--steps", "5", "--identity-prob", "nan"], "identity probability must lie in (0, 1)"),
+    ])
+    def test_mix_flag_errors_keep_their_text(self, capsys, flags, message):
+        code, _, err = run(capsys, "mix", "--pop", str(FIXTURES / "P_A.json"), "--schema", "#", "--seed", "1", *flags)
+        assert code == 1
+        assert err == f"rollmix: usage error: {message}\n"
+
+    def test_internal_value_error_is_not_a_usage_error(self, monkeypatch):
+        # A ValueError raised inside a command is a bug in rollmix, not a
+        # mistake in the user's input: it must not be reported as a usage error.
+        def broken(args):
+            raise ValueError("internal")
+
+        monkeypatch.setitem(_HANDLERS, "limit", broken)
+        with pytest.raises(ValueError, match="internal"):
+            dispatch(["limit", "--pop", str(FIXTURES / "P_A.json"), "--schema", "#"])
+
+    def test_payoff_exponent_past_the_bound_is_input_error(self, capsys, tmp_path):
+        data = json.loads((FIXTURES / "P_A.json").read_text(encoding="utf-8"))
+        data["payoffs"]["f1"] = "1e5000"
+        pop = tmp_path / "pop.json"
+        pop.write_text(json.dumps(data), encoding="utf-8")
+        code, _, err = run(capsys, "limit", "--pop", str(pop), "--schema", "#")
+        assert code == 2
+        assert "bad rational '1e5000'" in err
 
 
 GOLDEN_SCHEMATA = [
@@ -512,6 +597,13 @@ class TestGen:
         cfg.write_text('{"n_states": 1}', encoding="utf-8")
         code, _, err = run(capsys, "gen", "--env", str(cfg), "--seed", "1")
         assert code == 2
+
+    def test_cap_payoff_exponent_past_the_bound_is_input_error(self, capsys, tmp_path):
+        cfg = tmp_path / "env.json"
+        cfg.write_text(json.dumps({**GEN_CONFIG, "cap_payoff": "1e5000"}), encoding="utf-8")
+        code, _, err = run(capsys, "gen", "--env", str(cfg), "--seed", "1")
+        assert code == 2
+        assert err == "rollmix: invalid input: cap_payoff must be a rational, got '1e5000'\n"
 
 
 GEN_CONFIG = {

@@ -4,7 +4,6 @@ from fractions import Fraction
 
 import pytest
 
-from rollmix import Rollout, Schema, state
 from rollmix.digraph import (
     CapExceeded,
     NoData,
@@ -29,6 +28,7 @@ from rollmix.fixtures import (
     population_b,
     random_population,
 )
+from rollmix.model import Rollout, Schema, state
 
 
 class TestIngest:

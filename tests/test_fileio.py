@@ -7,13 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from test_cli import _population_documents
 
-from rollmix import ROOT, Schema
 from rollmix.fileio import (
     ParseError,
     SchemaSyntaxError,
     dump_canonical,
     format_rational,
-    format_schema,
     is_json_int,
     load_population,
     parse_rational,
@@ -25,7 +23,16 @@ from rollmix.fileio import (
     save_population,
 )
 from rollmix.fixtures import payoffs_a, population_a, population_b
-from rollmix.model import InvalidPopulationError, Population, Rollout, StateTag, TaggedState, validate_population
+from rollmix.model import (
+    ROOT,
+    InvalidPopulationError,
+    Population,
+    Rollout,
+    Schema,
+    StateTag,
+    TaggedState,
+    validate_population,
+)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -76,10 +83,10 @@ class TestSchemaText:
     )
     def test_print_parse_roundtrip(self, action, classes, tail):
         h = Schema(action, tuple(classes), tail)
-        assert parse_schema(format_schema(h)) == h
+        assert parse_schema(str(h)) == h
 
     def test_root_roundtrip(self):
-        assert parse_schema(format_schema(ROOT)) == ROOT
+        assert parse_schema(str(ROOT)) == ROOT
 
     def test_schemata_file(self, tmp_path):
         f = tmp_path / "schemata.txt"
@@ -113,6 +120,21 @@ class TestRationals:
             parse_rational("1/0")
         with pytest.raises(ParseError):
             parse_rational("x")
+
+    # Fraction would expand the exponent into a power of ten first:
+    # "1e10000000" took seconds.
+    @pytest.mark.parametrize("text", ["1e4301", "-1E5000", "1e-5000", "2.5e+4_301", "1e10000000"])
+    def test_exponent_past_the_bound_is_rejected(self, text):
+        with pytest.raises(ParseError, match="bad rational"):
+            parse_rational(text)
+
+    @pytest.mark.parametrize(
+        "text, value",
+        [("1e400", Fraction(10**400)), ("-1e-4300", Fraction(-1, 10**4300)), ("2.5e3", Fraction(2500)),
+         ("1e0_3", Fraction(1000)), ("1.5", Fraction(3, 2))],
+    )
+    def test_exponent_within_the_bound_parses(self, text, value):
+        assert parse_rational(text) == value
 
 
 class TestPopulationFiles:

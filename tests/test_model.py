@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rollmix import (
+from rollmix.model import (
     InvalidPopulationError,
     Population,
     ROOT,

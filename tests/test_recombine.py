@@ -6,18 +6,7 @@ from itertools import combinations
 
 import pytest
 
-from rollmix import (
-    Population,
-    ROOT,
-    Rollout,
-    Schema,
-    StateTag,
-    TaggedState,
-    inflate,
-    recombine,
-    state,
-    validate_population,
-)
+from rollmix import recombine
 from rollmix.fixtures import population_a, population_b, random_homologous_population, random_population
 from rollmix.recombine import (
     IDENTITY,
@@ -40,7 +29,20 @@ from rollmix.recombine import (
     run_chain,
 )
 from rollmix.envsim import SimConfig, generate_population, make_random_pomdp
-from rollmix.model import ClassId, match_parts, schema_count
+from rollmix.model import (
+    ROOT,
+    ClassId,
+    Population,
+    Rollout,
+    Schema,
+    StateTag,
+    TaggedState,
+    inflate,
+    match_parts,
+    schema_count,
+    state,
+    validate_population,
+)
 from rollmix.stats import down_report, limiting_frequency_from_report
 from rollmix.verify import _candidate_schemata
 
@@ -631,7 +633,7 @@ class TestOrbit:
         p = population_b()
         o = enumerate_orbit(p)
         members = _population_level_orbit(p)
-        from rollmix import schema_count
+        from rollmix.model import schema_count
 
         for h in (
             Schema("beta", (2, 1), "f2"),
@@ -747,7 +749,7 @@ def _population_level_orbit(p):
 
 @pytest.mark.parametrize("fixture", [population_a, population_b])
 def test_quotient_orbit_agrees_with_population_level_bfs(fixture):
-    from rollmix import schema_count
+    from rollmix.model import schema_count
 
     p = fixture()
     plain = _population_level_orbit(p)

@@ -2,9 +2,9 @@ import random
 from collections import Counter
 from fractions import Fraction
 
-from rollmix import ROOT, Schema
 from rollmix.digraph import action_node, class_node, terminal_node
 from rollmix.fixtures import population_a, population_b, random_population
+from rollmix.model import ROOT, Schema
 from rollmix.recombine import apply_transform, generator_index
 from rollmix.stats import (
     down_report,
