@@ -11,6 +11,7 @@ Subcommands::
 
 Exit codes: 0 success, 1 usage or schema-syntax error, 2 invalid input
 data (with the violation list), 3 cap exceeded, 4 verification failure.
+5 internal error: a bug in rollmix, with its traceback on stderr.
 
 Randomised commands require --seed and are bit-reproducible given it;
 report files are canonical JSON (wall-clock timing goes to stderr so
@@ -167,12 +168,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
     from .envsim import generate_population, make_random_pomdp, sim_config_from_json
 
-    try:
-        cfg = sim_config_from_json(read_input(args.env))
-    except KeyError as exc:
-        raise ParseError(f"{args.env}: missing config field {exc}") from None
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"{args.env}: {exc}") from None
+    cfg = sim_config_from_json(read_input(args.env))
     env = make_random_pomdp(cfg, random.Random(cfg.seed))
     actions = [env.root_actions[i % len(env.root_actions)] for i in range(cfg.rollouts)]
     sample = generate_population(env, actions, random.Random(args.seed))
@@ -338,10 +334,10 @@ def dispatch(argv: Sequence[str]) -> int:
         for v in exc.violations:
             print(f"  {v.kind}: {v.detail}", file=sys.stderr)
         return 2
-    except (ParseError, dg.NoData, dg.Unsolvable) as exc:
+    except ParseError as exc:
         print(f"rollmix: invalid input: {exc}", file=sys.stderr)
         return 2
-    except (OrbitCapExceeded, dg.CapExceeded) as exc:
+    except OrbitCapExceeded as exc:
         print(f"rollmix: cap exceeded: {exc}", file=sys.stderr)
         return 3
     except SystemExit as exc:  # argparse --help/--version
@@ -353,4 +349,10 @@ def dispatch(argv: Sequence[str]) -> int:
 
 
 def main() -> None:
-    sys.exit(dispatch(sys.argv[1:]))
+    try:
+        code = dispatch(sys.argv[1:])
+    except Exception:  # dispatch maps every input error to a code, so this is a bug
+        import traceback
+        traceback.print_exc()
+        code = 5
+    sys.exit(code)

@@ -15,7 +15,8 @@ summed as integers over the payoffs' common denominator.
 The walker estimate converges to the expected absorbed payoff, which
 exact_expected_payoff() computes exactly by fraction-free elimination of
 the absorbing-chain linear system; the two routes are kept independent so
-each checks the other.
+each checks the other.  ``_reaching`` and ``_absorbing_solve`` check and
+solve that system, and the orbit oracle counts its threadings with them.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, chain
 from math import inf, isqrt, lcm, sqrt
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import AbstractSet, Iterable, Mapping, NamedTuple, Sequence
 
 from .model import ActionLabel, ClassId, Population, Rollout, Schema, TerminalLabel
 
@@ -266,11 +267,11 @@ def _walk_hits(rows: _Rows, start: int, key: int, indices: range, cap: int) -> t
     return hits, capped
 
 
-def _scaled_payoffs(payoffs: PayoffMap, labels: Iterable[TerminalLabel]) -> tuple[int, dict[TerminalLabel, int]]:
+def _scaled_payoffs(payoffs: PayoffMap, labels: Sequence[TerminalLabel]) -> tuple[int, list[int]]:
     """L, the LCM of the labels' payoff denominators, and each payoff times L."""
-    values = {label: payoffs[label] for label in labels}
-    scale = lcm(*(v.denominator for v in values.values()))
-    return scale, {label: v.numerator * (scale // v.denominator) for label, v in values.items()}
+    values = [payoffs[label] for label in labels]
+    scale = lcm(*(v.denominator for v in values))
+    return scale, [v.numerator * (scale // v.denominator) for v in values]
 
 
 def evaluate_actions(
@@ -301,8 +302,7 @@ def evaluate_actions(
     per_action: dict[ActionLabel, ActionEvaluation] = {}
     if walks > 0:
         rows = _walk_rows(g)
-        scale, scaled = _scaled_payoffs(payoffs, rows.terminals)
-        nums = [scaled[t] for t in rows.terminals]
+        scale, nums = _scaled_payoffs(payoffs, rows.terminals)
         for a in unique_actions:
             start = rows.ids[action_node(a)]
             hits, capped = _walk_hits(rows, start, _action_key(seed, a), range(walks), cap)
@@ -315,82 +315,54 @@ def evaluate_actions(
     return EvaluationReport(per_action, walks, seed)
 
 
-def _reachable(g: WeightedDigraph, start: Node) -> set[Node]:
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        node = frontier.pop()
-        for dst in g.out_edges(node):
+def _closure(edges: Mapping[Node, Iterable[Node]], seeds: Iterable[Node]) -> set[Node]:
+    """The seeds and every node a path along ``edges`` leads to from them."""
+    seen = set(seeds)
+    todo = list(seen)
+    while todo:
+        for dst in edges.get(todo.pop(), ()):
             if dst not in seen:
                 seen.add(dst)
-                frontier.append(dst)
+                todo.append(dst)
     return seen
 
 
-def exact_expected_payoff(
-    g: WeightedDigraph, action: ActionLabel, payoffs: PayoffMap
-) -> Fraction:
-    """Expected absorbed payoff of a walk from the action, solved exactly.
+def _reaching(weights: Mapping[Node, Mapping[Node, int]], sinks: AbstractSet[Node]) -> set[Node]:
+    """The nodes with a path into one of the sinks, where ``weights`` lists
+    positive weights only: one reverse search, seeded from the nodes with
+    an edge into a sink."""
+    into: dict[Node, list[Node]] = {}
+    for src, outs in weights.items():
+        for dst in outs.keys() & weights.keys():  # a node without out-edges reaches nothing
+            into.setdefault(dst, []).append(src)
+    return _closure(into, [src for src, outs in weights.items() if not sinks.isdisjoint(outs)])
 
-    Sets up W_i E_i - sum_j w_ij E_j = sum_f w_if payoff(f) over the class
-    nodes reachable from the action, scaled by the payoffs' common
-    denominator so every coefficient is an integer, and solves it by
-    fraction-free elimination.  Raises Unsolvable if some reachable node
-    cannot reach a terminal (the system would have no absorbing solution).
+
+def _absorbing_solve(
+    weights: Mapping[Node, Mapping[Node, int]], nodes: Sequence[Node], absorbed: Mapping[Node, int]
+) -> tuple[int, list[int]]:
+    """det(M) and det(M) * x for the absorbing-chain system M x = r over
+    the unknowns ``nodes``: M_vv is v's summed out-weight, M_vu = -w_vu for
+    u in nodes, and r_v sums w_vu * absorbed[u] over v's targets outside
+    nodes, which alone ``absorbed`` names (a target it lacks adds 0).
+
+    Bareiss's fraction-free elimination without row swaps; every division
+    is exact.  M is a Z-matrix whose rows all lead out of nodes, a
+    nonsingular M-matrix: each pivot, a leading principal minor, is positive.
     """
-    start = action_node(action)
-    if start not in g.weights:
-        raise NoData(f"action {action!r} has no recorded successors")
-    reachable = _reachable(g, start)
-
-    # Every reachable non-terminal must reach a terminal sink.
-    can_finish: set[Node] = {n for n in reachable if n[0] == "terminal"}
-    grew = True
-    while grew:
-        grew = False
-        for node in reachable:
-            if node in can_finish:
-                continue
-            if any(dst in can_finish for dst in g.out_edges(node)):
-                can_finish.add(node)
-                grew = True
-    stuck = reachable - can_finish
-    if stuck:
-        raise Unsolvable(f"nodes cannot reach a terminal: {sorted(stuck, key=repr)}")
-
-    scale, scaled = _scaled_payoffs(payoffs, (n[1] for n in reachable if n[0] == "terminal"))  # type: ignore[arg-type]
-    classes = sorted((n for n in reachable if n[0] == "class"), key=repr)
-    index = {node: i for i, node in enumerate(classes)}
-    m = len(classes)
-    # Row i, times W_i and the scale L: W_i y_i - sum_j w_ij y_j =
-    # sum_f w_if L payoff(f), with y_i = L E_i.
+    index = {v: i for i, v in enumerate(nodes)}
+    m = len(nodes)
     matrix = []
-    for node in classes:
+    for i, v in enumerate(nodes):
         row = [0] * (m + 1)
-        row[index[node]] = g.out_weight(node)
-        for dst, w in g.out_edges(node).items():
-            if dst[0] == "class":
-                row[index[dst]] -= w
-            else:
-                row[m] += w * scaled[dst[1]]  # type: ignore[index]
+        row[i] = sum(weights[v].values())
+        for u, w in weights[v].items():
+            value = absorbed.get(u)
+            if value is not None:
+                row[m] += w * value
+            elif u in index:
+                row[index[u]] -= w
         matrix.append(row)
-
-    det, solution = _bareiss_solve(matrix)
-    value = 0
-    for dst, w in g.out_edges(start).items():
-        value += w * (solution[index[dst]] if dst[0] == "class" else det * scaled[dst[1]])  # type: ignore[index]
-    return Fraction(value, det * scale * g.out_weight(start))
-
-
-def _bareiss_solve(matrix: list[list[int]]) -> tuple[int, list[int]]:
-    """det(A) and det(A) * x for the integer system [A | b], by Bareiss's
-    fraction-free elimination without row swaps; every division is exact.
-
-    A is a Z-matrix (W_i on the diagonal, -w_ij off it) whose rows all
-    lead to a terminal, a nonsingular M-matrix: each pivot, a leading
-    principal minor, is positive.
-    """
-    m = len(matrix)
     prev = 1
     for k, pivot_row in enumerate(matrix):
         pivot = pivot_row[k]
@@ -406,6 +378,32 @@ def _bareiss_solve(matrix: list[list[int]]) -> tuple[int, list[int]]:
         rest = sum(row[j] * solution[j] for j in range(i + 1, m))
         solution[i] = (prev * row[m] - rest) // row[i]
     return prev, solution
+
+
+def exact_expected_payoff(
+    g: WeightedDigraph, action: ActionLabel, payoffs: PayoffMap
+) -> Fraction:
+    """Expected absorbed payoff of a walk from the action, solved exactly.
+
+    Solves W_i E_i - sum_j w_ij E_j = sum_f w_if payoff(f) over the action
+    and the class nodes reachable from it, scaled by the payoffs' common
+    denominator so every coefficient is an integer; the action is the
+    first unknown.  Raises Unsolvable if some reachable node cannot reach
+    a terminal (the system would have no absorbing solution).
+    """
+    start = action_node(action)
+    if start not in g.weights:
+        raise NoData(f"action {action!r} has no recorded successors")
+    reachable = _closure(g.weights, [start])
+    terminals = {n for n in reachable if n[0] == "terminal"}
+    stuck = reachable - terminals - _reaching(g.weights, terminals)
+    if stuck:
+        raise Unsolvable(f"nodes cannot reach a terminal: {sorted(stuck, key=repr)}")
+
+    scale, scaled = _scaled_payoffs(payoffs, [n[1] for n in terminals])  # type: ignore[arg-type]
+    classes = sorted((n for n in reachable if n[0] == "class"), key=repr)
+    det, solution = _absorbing_solve(g.weights, [start, *classes], dict(zip(terminals, scaled)))
+    return Fraction(solution[0], det * scale)
 
 
 def path_probability(g: WeightedDigraph, h: Schema) -> Fraction:

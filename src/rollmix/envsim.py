@@ -249,10 +249,14 @@ def sim_config_to_json(cfg: SimConfig) -> dict:
     }
 
 
-def sim_config_from_json(data: dict) -> SimConfig:
+def sim_config_from_json(data: object) -> SimConfig:
     integers = ("n_states", "n_observations", "n_actions", "max_branching", "depth_cap", "rollouts", "seed")
-    for name in integers:
-        if not is_json_int(data[name]):
+    if not isinstance(data, dict):
+        raise InvalidConfig("an environment config is a JSON object")
+    for name in (*integers, "payoff_range"):
+        if name not in data:
+            raise InvalidConfig(f"missing config field {name!r}")
+        if name in integers and not is_json_int(data[name]):
             raise InvalidConfig(f"{name} must be an integer, got {data[name]!r}")
     payoff_range = data["payoff_range"]
     if not (isinstance(payoff_range, list) and len(payoff_range) == 2 and all(map(is_json_int, payoff_range))):

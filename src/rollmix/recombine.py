@@ -39,14 +39,15 @@ height above k + 1 and the terminal-tailed ones.
 The oracle counts instead of enumerating: tag relabellings act freely and
 no schema sees them, so the orbit is a number of tag-erased classes, each
 of ``prod_i n_i!`` members (the fiber), and the classes are threadings of
-the succession multigraph, counted by one integer determinant.
+the succession multigraph, counted by one integer determinant: that of
+the absorbing-chain system, the root its only sink, of :mod:`rollmix.digraph`.
 """
 
 from __future__ import annotations
 
 import random
 from bisect import bisect_right
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -63,7 +64,7 @@ from .model import (
     TaggedState,
     inflate,
 )
-from .digraph import _bareiss_solve
+from .digraph import _absorbing_solve, _reaching
 
 
 class OrbitCapExceeded(Exception):
@@ -396,6 +397,7 @@ def run_chain(
 # Euler circuits, Pevzner 1995 on Eulerian paths).
 
 Node = tuple[ClassId, ...]  # a block's run, or (c,) for a class in no block
+ROOT: Node = ()  # every action source and terminal sink, merged
 
 
 def _runs(paths: Sequence[tuple[ClassId, ...]]) -> dict[ClassId, Node]:
@@ -432,30 +434,16 @@ def _contract(classes: tuple[ClassId, ...], runs: Mapping[ClassId, Node]) -> tup
     return nodes, i > len(classes)
 
 
-def _threadings(edges: Mapping[tuple[Node, Node], int], exits: Mapping[Node, int]) -> int:
-    """Loop-free threadings (parallel edges told apart; ``exits[v]`` edges
-    run from v into the root): t_r(G) * prod_v (d_v - 1)! by the BEST and
-    matrix-tree theorems, or 0 if a node cannot reach the root, so the
-    solver only ever sees a nonsingular M-matrix."""
-    degree = Counter(exits)
-    into: dict[Node, list[Node]] = {}
-    for (u, v), w in edges.items():
-        if w:
-            degree[u] += w
-            into.setdefault(v, []).append(u)
+def _threadings(edges: Mapping[Node, Mapping[Node, int]]) -> int:
+    """Loop-free threadings (parallel edges told apart; ``edges[v][ROOT]``
+    edges run from v into the root): t_r(G) * prod_v (d_v - 1)! by the
+    BEST and matrix-tree theorems, or 0 if a node cannot reach the root, so
+    the solver only ever sees a nonsingular M-matrix."""
+    degree = {v: sum(outs.values()) for v, outs in edges.items()}
     nodes = [v for v, d in degree.items() if d]
-    seen = {v for v, w in exits.items() if w}
-    todo = list(seen)
-    while todo:
-        for u in into.get(todo.pop(), ()):
-            if u not in seen:
-                seen.add(u)
-                todo.append(u)
-    if len(seen) < len(nodes):
+    if len(_reaching(edges, {ROOT})) < len(nodes):
         return 0
-    # Row v: d_v on the diagonal less w_vu, with a zero right-hand side.
-    matrix = [[degree[v] * (u == v) - edges.get((v, u), 0) for u in nodes] + [0] for v in nodes]
-    return _bareiss_solve(matrix)[0] * prod(factorial(degree[v] - 1) for v in nodes)
+    return _absorbing_solve(edges, nodes, {})[0] * prod(factorial(degree[v] - 1) for v in nodes)
 
 
 def _class_fiber(p: Population) -> int:
@@ -492,19 +480,19 @@ def _frequency(o: OrbitSet, h: Schema) -> Fraction:
     nodes, inside = contracted
     if h.wildcard_tail and len(nodes) == 1:
         return Fraction(ways, o.b)  # nor a first class, nor the run it starts
-    edges, exits = dict(o.edges), dict(o.exits)
-    for step in zip(nodes, nodes[1:]):
-        ways *= edges.get(step, 0)
+    edges = dict(o.edges)  # rows h's path uses are replaced, so o.edges stays as it is
+    for u, v in zip(nodes, nodes[1:]):
+        ways *= edges[u][v]
         if not ways:
             return Fraction(0)
-        edges[step] -= 1
+        edges[u] = edges[u] - Counter({v: 1})  # drops an edge at 0: weights stay positive
     if not h.wildcard_tail:
         last, family = o.ends.get(h.tail, (None, 0))  # type: ignore[arg-type]
         if inside or last != nodes[-1]:
             return Fraction(0)
         ways *= family
-        exits[last] -= 1
-    return Fraction(ways * _threadings(edges, exits), o.threadings * o.b)
+        edges[last] = edges[last] - Counter({ROOT: 1})
+    return Fraction(ways * _threadings(edges), o.threadings * o.b)
 
 
 @dataclass(frozen=True)
@@ -518,8 +506,7 @@ class OrbitSet:
     heads: Mapping[tuple[str, ClassId | str], int]  # slots by action and first class, or stateless token
     runs: Mapping[ClassId, Node]  # class -> its block's run, or (c,)
     ends: Mapping[str, tuple[Node, int]]  # stateful token's name -> (last node, labels)
-    edges: Mapping[tuple[Node, Node], int]  # w_uv of the contracted graph
-    exits: Mapping[Node, int]  # edges from a node into the root
+    edges: Mapping[Node, Counter[Node]]  # w_uv of the contracted graph, ROOT the root
     threadings: int
     fiber: int
     n_classes: int
@@ -551,23 +538,23 @@ def _orbit(initial: Population, slots: Sequence[tuple[str, tuple[ClassId, ...], 
     or a copy family; the fiber counts the relabellings within tokens too."""
     heads = Counter((action, classes[0] if classes else token) for action, classes, token in slots)
     runs = _runs([classes for _, classes, _ in slots if classes])
-    edges: Counter[tuple[Node, Node]] = Counter()
-    exits: Counter[Node] = Counter()
+    edges: defaultdict[Node, Counter[Node]] = defaultdict(Counter)
     ends: dict[str, tuple[Node, int]] = {}
     for _, classes, token in slots:
         if classes:
             nodes = _contract(classes, runs)[0]  # type: ignore[index]
-            edges.update(zip(nodes, nodes[1:]))
-            exits[nodes[-1]] += 1
+            for u, v in zip(nodes, [*nodes[1:], ROOT]):
+                edges[u][v] += 1
             ends[token] = (nodes[-1], ends.get(token, ((), 0))[1] + 1)
-    threadings = _threadings(edges, exits)
+    threadings = _threadings(edges)
     relabellings = _arrangements(token for _, _, token in slots)
-    n_classes = threadings // (prod(map(factorial, edges.values())) * relabellings)
+    parallel = prod(factorial(w) for outs in edges.values() for v, w in outs.items() if v != ROOT)
+    n_classes = threadings // (parallel * relabellings)
     fiber = _class_fiber(initial) * relabellings
     if n_classes * fiber > cap:  # str() fails on ints past 4300 digits
         size = n_classes * fiber
         raise OrbitCapExceeded(f"orbit size {size} exceeds cap {cap}" if size < 10**4000 else "orbit size exceeds cap")
-    return OrbitSet(initial, heads, runs, ends, edges, exits, threadings, fiber, n_classes)
+    return OrbitSet(initial, heads, runs, ends, dict(edges), threadings, fiber, n_classes)
 
 
 def enumerate_orbit(p0: Population, cap: int = 10**6) -> OrbitSet:

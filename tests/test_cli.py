@@ -11,6 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from rollmix import __version__
+from rollmix import digraph as dg
 from rollmix.cli import _HANDLERS, UsageError, _build_parser, dispatch
 from rollmix.digraph import build_digraph, exact_expected_payoff
 from rollmix.fileio import dump_canonical, save_population
@@ -202,15 +203,36 @@ class TestExitCodes:
         assert code == 1
         assert err == f"rollmix: usage error: {message}\n"
 
-    def test_internal_value_error_is_not_a_usage_error(self, monkeypatch):
-        # A ValueError raised inside a command is a bug in rollmix, not a
-        # mistake in the user's input: it must not be reported as a usage error.
+    # No file or flag can raise the digraph's own errors: every action of a
+    # loaded population has an out-edge, every class reaches its rollout's
+    # terminal, and no command calls walk.
+    @pytest.mark.parametrize("error", [ValueError, dg.NoData, dg.Unsolvable, dg.CapExceeded])
+    def test_internal_value_error_is_not_a_usage_error(self, monkeypatch, error):
+        # An error raised inside a command is a bug in rollmix, not a mistake
+        # in the user's input: it must not be reported as a user error.
         def broken(args):
-            raise ValueError("internal")
+            raise error("internal")
 
         monkeypatch.setitem(_HANDLERS, "limit", broken)
-        with pytest.raises(ValueError, match="internal"):
+        with pytest.raises(error, match="internal"):
             dispatch(["limit", "--pop", str(FIXTURES / "P_A.json"), "--schema", "#"])
+
+    def test_main_exits_five_with_a_traceback_on_an_internal_error(self):
+        probe = (
+            "import sys\n"
+            "from rollmix import cli\n"
+            "def broken(args):\n"
+            "    raise RuntimeError('internal')\n"
+            "cli._HANDLERS['limit'] = broken\n"
+            f"sys.argv = ['rollmix', 'limit', '--pop', {str(FIXTURES / 'P_A.json')!r}, '--schema', '#']\n"
+            "cli.main()\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        done = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": src},
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 5
+        assert "Traceback (most recent call last):" in done.stderr
+        assert done.stderr.endswith("RuntimeError: internal\n")
 
     def test_payoff_exponent_past_the_bound_is_input_error(self, capsys, tmp_path):
         data = json.loads((FIXTURES / "P_A.json").read_text(encoding="utf-8"))
@@ -575,6 +597,12 @@ class TestEval:
         assert oracle == {a: exact_expected_payoff(graph, a, payoffs) for a in "ab"}
 
 
+GEN_CONFIG = {
+    "n_states": 5, "n_observations": 2, "n_actions": 2, "max_branching": 2,
+    "depth_cap": 3, "payoff_range": [0, 2], "rollouts": 4, "seed": 9,
+}
+
+
 class TestGen:
     def test_generates_valid_population_file(self, capsys, tmp_path):
         cfg = tmp_path / "env.json"
@@ -592,11 +620,30 @@ class TestGen:
         assert population.b == 4
         assert set(payoffs) == set(population.terminals())
 
-    def test_bad_config_is_input_error(self, capsys, tmp_path):
+    @pytest.mark.parametrize("config, message", [
+        ({"n_states": 1}, "missing config field 'n_observations'"),
+        ({k: v for k, v in GEN_CONFIG.items() if k != "payoff_range"}, "missing config field 'payoff_range'"),
+        (list(GEN_CONFIG), "an environment config is a JSON object"),
+        (7, "an environment config is a JSON object"),
+    ])
+    def test_bad_config_is_input_error(self, capsys, tmp_path, config, message):
         cfg = tmp_path / "env.json"
-        cfg.write_text('{"n_states": 1}', encoding="utf-8")
+        cfg.write_text(json.dumps(config), encoding="utf-8")
         code, _, err = run(capsys, "gen", "--env", str(cfg), "--seed", "1")
         assert code == 2
+        assert err == f"rollmix: invalid input: {message}\n"
+
+    def test_internal_error_in_config_reading_is_not_an_input_error(self, monkeypatch, tmp_path):
+        from rollmix import envsim
+
+        def broken(data):
+            raise TypeError("internal")
+
+        monkeypatch.setattr(envsim, "sim_config_from_json", broken)
+        cfg = tmp_path / "env.json"
+        cfg.write_text(json.dumps(GEN_CONFIG), encoding="utf-8")
+        with pytest.raises(TypeError, match="internal"):
+            dispatch(["gen", "--env", str(cfg), "--seed", "1"])
 
     def test_cap_payoff_exponent_past_the_bound_is_input_error(self, capsys, tmp_path):
         cfg = tmp_path / "env.json"
@@ -604,12 +651,6 @@ class TestGen:
         code, _, err = run(capsys, "gen", "--env", str(cfg), "--seed", "1")
         assert code == 2
         assert err == "rollmix: invalid input: cap_payoff must be a rational, got '1e5000'\n"
-
-
-GEN_CONFIG = {
-    "n_states": 5, "n_observations": 2, "n_actions": 2, "max_branching": 2,
-    "depth_cap": 3, "payoff_range": [0, 2], "rollouts": 4, "seed": 9,
-}
 
 
 # JSON booleans are not integers, though Python reads them as 1 and 0.

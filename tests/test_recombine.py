@@ -3,6 +3,7 @@ import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
+from math import factorial, prod
 
 import pytest
 
@@ -28,6 +29,7 @@ from rollmix.recombine import (
     _unrank_pair,
     run_chain,
 )
+from rollmix.digraph import _absorbing_solve, build_digraph, class_node
 from rollmix.envsim import SimConfig, generate_population, make_random_pomdp
 from rollmix.model import (
     ROOT,
@@ -980,6 +982,26 @@ def test_counts_and_schemata_agree_with_reference_search(block):
         for h in _candidate_schemata(p, 3) + prefixes + misses:
             assert orbit_frequency(o, h) == _reference_frequency(reference, names, p.b, h), (h, p)
         compared += 1
+
+
+def test_threadings_are_the_determinant_of_the_walkers_matrix():
+    # Without blocks the contracted graph is the succession digraph with
+    # the actions and terminals merged into the root, so the BEST count is
+    # det(M) * prod_v (d_v - 1)! for the matrix the absorbing-chain solve
+    # builds over the class nodes, with nothing absorbed.
+    rng = random.Random(7)
+    compared = 0
+    for _ in range(3000):
+        p = random_population(rng, min_b=2, max_b=7, max_height=rng.randint(1, 5), max_classes=rng.randint(1, 4))
+        o = enumerate_orbit(p, cap=10**100)
+        if any(len(run) > 1 for run in o.runs.values()):
+            continue
+        g = build_digraph(p)
+        classes = sorted(class_node(c) for c in g.classes)
+        det = _absorbing_solve(g.weights, classes, {})[0]
+        assert det * prod(factorial(g.out_weight(v) - 1) for v in classes) == o.threadings, p
+        compared += 1
+    assert compared > 2000
 
 
 def test_inflated_counts_agree_with_reference_search():
