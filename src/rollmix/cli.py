@@ -11,7 +11,7 @@ Subcommands::
 
 Exit codes: 0 success, 1 usage or schema-syntax error, 2 invalid input
 data (with the violation list), 3 cap exceeded, 4 verification failure.
-5 internal error: a bug in rollmix, with its traceback on stderr.
+5 unexpected error, such as a bug or a closed stdout (traceback on stderr).
 
 Randomised commands require --seed and are bit-reproducible given it;
 report files are canonical JSON (wall-clock timing goes to stderr so
@@ -351,7 +351,7 @@ def dispatch(argv: Sequence[str]) -> int:
 def main() -> None:
     try:
         code = dispatch(sys.argv[1:])
-    except Exception:  # dispatch maps every input error to a code, so this is a bug
+    except Exception:  # dispatch maps every input error to a code; this is anything else
         import traceback
         traceback.print_exc()
         code = 5

@@ -397,7 +397,7 @@ def run_chain(
 # Euler circuits, Pevzner 1995 on Eulerian paths).
 
 Node = tuple[ClassId, ...]  # a block's run, or (c,) for a class in no block
-ROOT: Node = ()  # every action source and terminal sink, merged
+_SINK: Node = ()  # the root: every action source and terminal sink, merged
 
 
 def _runs(paths: Sequence[tuple[ClassId, ...]]) -> dict[ClassId, Node]:
@@ -435,13 +435,13 @@ def _contract(classes: tuple[ClassId, ...], runs: Mapping[ClassId, Node]) -> tup
 
 
 def _threadings(edges: Mapping[Node, Mapping[Node, int]]) -> int:
-    """Loop-free threadings (parallel edges told apart; ``edges[v][ROOT]``
+    """Loop-free threadings (parallel edges told apart; ``edges[v][_SINK]``
     edges run from v into the root): t_r(G) * prod_v (d_v - 1)! by the
     BEST and matrix-tree theorems, or 0 if a node cannot reach the root, so
     the solver only ever sees a nonsingular M-matrix."""
     degree = {v: sum(outs.values()) for v, outs in edges.items()}
     nodes = [v for v, d in degree.items() if d]
-    if len(_reaching(edges, {ROOT})) < len(nodes):
+    if len(_reaching(edges, {_SINK})) < len(nodes):
         return 0
     return _absorbing_solve(edges, nodes, {})[0] * prod(factorial(degree[v] - 1) for v in nodes)
 
@@ -491,7 +491,7 @@ def _frequency(o: OrbitSet, h: Schema) -> Fraction:
         if inside or last != nodes[-1]:
             return Fraction(0)
         ways *= family
-        edges[last] = edges[last] - Counter({ROOT: 1})
+        edges[last] = edges[last] - Counter({_SINK: 1})
     return Fraction(ways * _threadings(edges), o.threadings * o.b)
 
 
@@ -506,7 +506,7 @@ class OrbitSet:
     heads: Mapping[tuple[str, ClassId | str], int]  # slots by action and first class, or stateless token
     runs: Mapping[ClassId, Node]  # class -> its block's run, or (c,)
     ends: Mapping[str, tuple[Node, int]]  # stateful token's name -> (last node, labels)
-    edges: Mapping[Node, Counter[Node]]  # w_uv of the contracted graph, ROOT the root
+    edges: Mapping[Node, Counter[Node]]  # w_uv of the contracted graph, _SINK the root
     threadings: int
     fiber: int
     n_classes: int
@@ -543,12 +543,12 @@ def _orbit(initial: Population, slots: Sequence[tuple[str, tuple[ClassId, ...], 
     for _, classes, token in slots:
         if classes:
             nodes = _contract(classes, runs)[0]  # type: ignore[index]
-            for u, v in zip(nodes, [*nodes[1:], ROOT]):
+            for u, v in zip(nodes, [*nodes[1:], _SINK]):
                 edges[u][v] += 1
             ends[token] = (nodes[-1], ends.get(token, ((), 0))[1] + 1)
     threadings = _threadings(edges)
     relabellings = _arrangements(token for _, _, token in slots)
-    parallel = prod(factorial(w) for outs in edges.values() for v, w in outs.items() if v != ROOT)
+    parallel = prod(factorial(w) for outs in edges.values() for v, w in outs.items() if v != _SINK)
     n_classes = threadings // (parallel * relabellings)
     fiber = _class_fiber(initial) * relabellings
     if n_classes * fiber > cap:  # str() fails on ints past 4300 digits

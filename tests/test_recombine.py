@@ -26,6 +26,7 @@ from rollmix.recombine import (
     _encode_start,
     _fits,
     _pattern,
+    _runs,
     _unrank_pair,
     run_chain,
 )
@@ -986,22 +987,32 @@ def test_counts_and_schemata_agree_with_reference_search(block):
 
 def test_threadings_are_the_determinant_of_the_walkers_matrix():
     # Without blocks the contracted graph is the succession digraph with
-    # the actions and terminals merged into the root, so the BEST count is
-    # det(M) * prod_v (d_v - 1)! for the matrix the absorbing-chain solve
-    # builds over the class nodes, with nothing absorbed.
+    # the actions and terminals merged into the root, so by the BEST and
+    # matrix-tree theorems det(M) * prod_v (d_v - 1)!, for the matrix the
+    # absorbing-chain solve builds over the class nodes with nothing
+    # absorbed, counts the threadings: the reference search's classes times
+    # the orders of parallel class edges and of equal terminal labels. The
+    # orbit oracle's own count, from its contracted graph, must match too.
     rng = random.Random(7)
     compared = 0
-    for _ in range(3000):
-        p = random_population(rng, min_b=2, max_b=7, max_height=rng.randint(1, 5), max_classes=rng.randint(1, 4))
-        o = enumerate_orbit(p, cap=10**100)
-        if any(len(run) > 1 for run in o.runs.values()):
+    for _ in range(400):
+        p = random_population(rng, min_b=2, max_b=6, max_height=rng.randint(1, 4), max_classes=rng.randint(1, 4))
+        if any(len(run) > 1 for run in _runs([r.classes for r in p.rollouts if r.states]).values()):
+            continue
+        try:
+            n_classes = _reference_orbit(_encode_start(p)[0], 1, 1000)[0]
+        except OrbitCapExceeded:
             continue
         g = build_digraph(p)
         classes = sorted(class_node(c) for c in g.classes)
         det = _absorbing_solve(g.weights, classes, {})[0]
-        assert det * prod(factorial(g.out_weight(v) - 1) for v in classes) == o.threadings, p
+        parallel = prod(factorial(w) for v in classes for u, w in g.out_edges(v).items() if u in classes)
+        orders = parallel * _arrangements(r.terminal for r in p.rollouts)
+        threadings = det * prod(factorial(g.out_weight(v) - 1) for v in classes)
+        assert threadings == n_classes * orders, p
+        assert threadings == enumerate_orbit(p, cap=10**100).threadings, p
         compared += 1
-    assert compared > 2000
+    assert compared > 200
 
 
 def test_inflated_counts_agree_with_reference_search():
